@@ -92,7 +92,10 @@ void RunSweep(const std::string& title, const search::SearchContext& ctx,
         for (const api::QueryRequest& r : requests) ctx.Execute(r);
       },
       kReps);
-  double reference = Checksum(ctx.ExecuteBatch(requests, size_t{1}));
+  std::vector<api::QueryResponse> serial;
+  serial.reserve(requests.size());
+  for (const api::QueryRequest& r : requests) serial.push_back(ctx.Execute(r));
+  double reference = Checksum(serial);
 
   util::TablePrinter table(
       {"threads", "wall ms", "queries/s", "speedup vs 1T", "matches serial"});

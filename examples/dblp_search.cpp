@@ -12,10 +12,12 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/os_backend.h"
 #include "datasets/dblp.h"
-#include "search/engine.h"
+#include "search/search_context.h"
 #include "util/timer.h"
 
 namespace {
@@ -32,11 +34,11 @@ osum::core::SizeLAlgorithm ParseAlgorithm(const char* name) {
   return SizeLAlgorithm::kTopPath;
 }
 
-void RunQuery(const osum::search::SizeLSearchEngine& engine,
+void RunQuery(const osum::search::SearchContext& ctx,
               const std::string& keywords,
               const osum::search::QueryOptions& options) {
   osum::util::WallTimer timer;
-  auto results = engine.Query(keywords, options);
+  auto results = ctx.Query(keywords, options);
   double ms = timer.ElapsedMillis();
   std::printf("\n>>> query \"%s\" (l=%zu, %s): %zu results in %.1f ms\n",
               keywords.c_str(), options.l,
@@ -46,7 +48,7 @@ void RunQuery(const osum::search::SizeLSearchEngine& engine,
   for (const auto& r : results) {
     std::printf("\n#%zu  [importance %.2f, |OS|=%zu]\n", rank++,
                 r.subject_importance, r.os.size());
-    std::cout << engine.Render(r);
+    std::cout << ctx.Render(r);
   }
 }
 
@@ -58,10 +60,11 @@ int main(int argc, char** argv) {
   datasets::Dblp dblp = datasets::BuildDblp();
   datasets::ApplyDblpScores(&dblp, 1, 0.85);
   core::DataGraphBackend backend(dblp.db, dblp.links, dblp.data_graph);
-  search::SizeLSearchEngine engine(dblp.db, &backend);
-  engine.RegisterSubject(dblp.author, datasets::DblpAuthorGds(dblp));
-  engine.RegisterSubject(dblp.paper, datasets::DblpPaperGds(dblp));
-  engine.BuildIndex();
+  std::vector<search::SearchContext::Subject> subjects;
+  subjects.push_back({dblp.author, datasets::DblpAuthorGds(dblp)});
+  subjects.push_back({dblp.paper, datasets::DblpPaperGds(dblp)});
+  search::SearchContext ctx =
+      search::SearchContext::Build(dblp.db, &backend, std::move(subjects));
 
   search::QueryOptions options;
   options.l = 15;
@@ -70,17 +73,17 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     if (argc > 2) options.l = static_cast<size_t>(std::atoi(argv[2]));
     if (argc > 3) options.algorithm = ParseAlgorithm(argv[3]);
-    RunQuery(engine, argv[1], options);
+    RunQuery(ctx, argv[1], options);
     return 0;
   }
 
   // Demo: an author query (Q1 of the paper), a paper-subject query and a
   // multi-keyword query.
-  RunQuery(engine, "Faloutsos", options);
+  RunQuery(ctx, "Faloutsos", options);
   options.l = 10;
-  RunQuery(engine, "power law", options);
+  RunQuery(ctx, "power law", options);
   options.l = 8;
   options.algorithm = core::SizeLAlgorithm::kDp;
-  RunQuery(engine, "christos faloutsos", options);
+  RunQuery(ctx, "christos faloutsos", options);
   return 0;
 }

@@ -2,7 +2,7 @@
 # Tier-1 verification in the three shipping configurations:
 #   1. Release            — the configuration benchmarks are run in
 #   2. Debug + ASan/UBSan — catches what optimized builds hide
-#   3. Debug + TSan       — proves the concurrent query path (QueryBatch
+#   3. Debug + TSan       — proves the concurrent query path (ExecuteBatch
 #      over a shared SearchContext), the serving layer (QueryService +
 #      sharded ResultCache) and the TCP front end (net::Server event loop
 #      vs pool workers) race on nothing; runs the search-, serve- and

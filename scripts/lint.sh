@@ -103,7 +103,7 @@ fi
 # ---------------------------------------------------------------------------
 section "shellcheck"
 if have shellcheck; then
-  shellcheck scripts/ci.sh scripts/lint.sh
+  shellcheck scripts/ci.sh scripts/lint.sh scripts/loc_by_layer.sh
   echo "[lint] shellcheck OK"
 else
   skip "shellcheck" "shellcheck"

@@ -1,7 +1,7 @@
 // Wire codec for QueryRequest and QueryResponse: a versioned,
 // endianness-stable binary format (the canonical cross-process form), a
-// JSON form (for CLIs, logs and non-C++ consumers), and the deterministic
-// text fingerprint the equivalence tests compare.
+// JSON output form (for CLIs, logs and non-C++ consumers), and the
+// deterministic text fingerprint the equivalence tests compare.
 //
 // Binary format v1 — all integers little-endian regardless of host,
 // doubles as their IEEE-754 bit pattern in a little-endian u64, strings as
@@ -37,12 +37,14 @@
 //     version / kind / enum values, and malformed trees all come back as
 //     Status kCodecError.
 //
-// The JSON form mirrors the same fields and the same versioning rule
-// ({"v":1,...}, or {"v":2,...,"deadline_micros":N} for deadline-carrying
-// requests); doubles are
-// printed with %.17g so they parse back bit-exact, and u64 fields share
-// JSON's usual 2^53 integer precision limit — binary is the canonical
-// format, JSON the interoperable one.
+// JSON is an output format only (nothing in the repo decodes it): it
+// mirrors the same fields and the same versioning rule ({"v":1,...}, or
+// {"v":2,...,"deadline_micros":N} for deadline-carrying requests). Doubles
+// are printed with %.17g, enough digits for a reader to recover the exact
+// value; u64 fields are printed in full, though many JSON readers keep only
+// 2^53 of integer precision. Binary is the canonical format, JSON the
+// readable one; the exact documents are pinned by goldens in
+// tests/api_codec_test.cc.
 #ifndef OSUM_API_CODEC_H_
 #define OSUM_API_CODEC_H_
 
@@ -60,39 +62,30 @@ namespace osum::api {
 /// Decoders reject versions they do not know.
 inline constexpr uint16_t kWireVersion = 1;
 
-/// Request revision carrying `deadline_micros`. Encoders pick the lowest
-/// version expressing the request (v1 iff no deadline), so v1 consumers
-/// keep working until a deadline actually appears on the wire.
+/// Request revision carrying `deadline_micros`. The encoder picks the
+/// lowest version expressing the request (v1 iff no deadline), so v1
+/// consumers keep working until a deadline actually appears on the wire.
 inline constexpr uint16_t kWireVersionDeadline = 2;
 
 // -- Binary (canonical) ----------------------------------------------------
 
 /// Encodes at the lowest version that can express the request: v1 when
 /// deadline_micros == 0 (byte-identical to the pre-deadline format), v2
-/// otherwise.
+/// otherwise — so each value has exactly one canonical encoding.
 std::string EncodeRequest(const QueryRequest& request);
 
-/// Encodes at a specific version, for callers pinned to an old peer.
-/// A request whose fields the version cannot carry is a typed
-/// kCodecError — v1 cannot carry a deadline, and v2 requires one (each
-/// value has exactly one canonical encoding).
-StatusOr<std::string> EncodeRequestAt(const QueryRequest& request,
-                                      uint16_t version);
-
+/// Accepts v1 and v2. A v2 blob with a zero deadline is a kCodecError (that
+/// value's encoding is v1), as is a v1 blob with trailing deadline bytes.
 StatusOr<QueryRequest> DecodeRequest(std::string_view bytes);
 
 std::string EncodeResponse(const QueryResponse& response);
 StatusOr<QueryResponse> DecodeResponse(std::string_view bytes);
 
-// -- JSON ------------------------------------------------------------------
+// -- JSON (output only) ----------------------------------------------------
 
-/// One-line canonical JSON document (fixed field order, %.17g doubles), so
-/// ToJson(FromJson(doc)) reproduces doc byte-for-byte.
+/// One-line canonical JSON document (fixed field order, %.17g doubles).
 std::string RequestToJson(const QueryRequest& request);
-StatusOr<QueryRequest> RequestFromJson(std::string_view json);
-
 std::string ResponseToJson(const QueryResponse& response);
-StatusOr<QueryResponse> ResponseFromJson(std::string_view json);
 
 // -- Deterministic text ----------------------------------------------------
 

@@ -13,8 +13,8 @@
 // Layering: this header also *defines* the result vocabulary (Hit,
 // QueryOptions, QueryResult, ResultRanking) that used to live in
 // search/search_context.h — the api layer sits below search so
-// SizeLSearchEngine, SearchContext and serve::QueryService can all speak
-// these types natively. `osum::search` keeps aliases for source compat.
+// SearchContext and serve::QueryService can both speak these types
+// natively. `osum::search` keeps aliases for source compat.
 #ifndef OSUM_API_QUERY_H_
 #define OSUM_API_QUERY_H_
 

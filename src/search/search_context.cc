@@ -1,9 +1,9 @@
 #include "search/search_context.h"
 
 #include <algorithm>
-#include <cassert>
 #include <exception>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -45,11 +45,17 @@ SearchContext SearchContext::Build(const rel::Database& db,
   ctx.partials_memo_ = std::make_shared<core::PartialsMemo>();
   ctx.subject_order_.reserve(subjects.size());
   for (Subject& s : subjects) {
-    assert(s.gds.root_relation() == s.relation);
+    if (s.gds.root_relation() != s.relation) {
+      throw std::invalid_argument(
+          "SearchContext::Build: a subject's G_DS must be rooted at its "
+          "relation");
+    }
+    if (!ctx.subjects_.emplace(s.relation, std::move(s.gds)).second) {
+      throw std::invalid_argument(
+          "SearchContext::Build: each subject relation may be registered "
+          "once");
+    }
     ctx.subject_order_.push_back(s.relation);
-    bool inserted = ctx.subjects_.emplace(s.relation, std::move(s.gds)).second;
-    assert(inserted && "each subject relation may be registered once");
-    (void)inserted;
   }
   ctx.index_ = InvertedIndex::Build(db, ctx.subject_order_);
   return ctx;
@@ -161,31 +167,6 @@ std::vector<QueryResult> SearchContext::Query(
   return results;
 }
 
-std::vector<std::vector<QueryResult>> SearchContext::QueryBatch(
-    std::span<const std::string> queries, const QueryOptions& options,
-    util::ThreadPool& pool) const {
-  std::vector<std::vector<QueryResult>> results(queries.size());
-  util::ParallelFor(&pool, queries.size(),
-                    [&](size_t i) { results[i] = Query(queries[i], options); });
-  return results;
-}
-
-std::vector<std::vector<QueryResult>> SearchContext::QueryBatch(
-    std::span<const std::string> queries, const QueryOptions& options,
-    size_t num_threads) const {
-  if (num_threads == 0) num_threads = util::ThreadPool::HardwareThreads();
-  num_threads = std::min(num_threads, queries.size());
-  if (num_threads <= 1) {
-    // No pool for degenerate batches; same results by construction.
-    std::vector<std::vector<QueryResult>> results;
-    results.reserve(queries.size());
-    for (const std::string& q : queries) results.push_back(Query(q, options));
-    return results;
-  }
-  util::ThreadPool pool(num_threads);
-  return QueryBatch(queries, options, pool);
-}
-
 api::QueryResponse SearchContext::Execute(
     const api::QueryRequest& request) const {
   util::WallTimer timer;
@@ -210,26 +191,10 @@ std::vector<api::QueryResponse> SearchContext::ExecuteBatch(
     std::span<const api::QueryRequest> requests, util::ThreadPool& pool) const {
   std::vector<api::QueryResponse> responses(requests.size());
   // Execute never throws, so the fan-out honors ParallelFor's no-throw
-  // contract by construction (unlike the legacy QueryBatch, where a
-  // backend exception inside a task is fatal).
+  // contract by construction.
   util::ParallelFor(&pool, requests.size(),
                     [&](size_t i) { responses[i] = Execute(requests[i]); });
   return responses;
-}
-
-std::vector<api::QueryResponse> SearchContext::ExecuteBatch(
-    std::span<const api::QueryRequest> requests, size_t num_threads) const {
-  if (num_threads == 0) num_threads = util::ThreadPool::HardwareThreads();
-  num_threads = std::min(num_threads, requests.size());
-  if (num_threads <= 1) {
-    // No pool for degenerate batches; same responses by construction.
-    std::vector<api::QueryResponse> responses;
-    responses.reserve(requests.size());
-    for (const api::QueryRequest& r : requests) responses.push_back(Execute(r));
-    return responses;
-  }
-  util::ThreadPool pool(num_threads);
-  return ExecuteBatch(requests, pool);
 }
 
 std::string SearchContext::Render(const QueryResult& result) const {

@@ -4,23 +4,23 @@
 // its own t_DS hits and OS trees against structures that never change at
 // query time. SearchContext captures exactly that split — everything built
 // once (database ref, registered G_DSs, inverted index, join back end) is
-// frozen behind a const API, and the query paths allocate all per-query
-// state on their own stack. One context therefore serves any number of
-// threads; the batch paths fan out over a util::ThreadPool and return
-// results in input order, byte-identical to running serially.
+// frozen behind a const API, and the query path allocates all per-query
+// state on its own stack. One context therefore serves any number of
+// threads; ExecuteBatch fans out over a util::ThreadPool and returns
+// responses in input order, byte-identical to running serially.
 //
-// Two query surfaces share one compute path:
-//   - Execute/ExecuteBatch — the public api::QueryRequest ->
-//     api::QueryResponse contract: validation and backend failures come
-//     back as typed Status codes (never exceptions), responses carry
-//     compute-time metadata, and an empty answer is distinguishable from
-//     an error. New code should use these.
-//   - Query/QueryBatch — the raw compute primitives (string_view keywords
-//     + QueryOptions, exceptions propagate). The serving layer's cache
-//     compute callback and the legacy callers ride these; they are the
-//     engine room, not the public contract.
+// Build is the only way to make a context (and so the only place subjects
+// are registered). Queries go through one compute path:
+//   - Query — the raw compute primitive (string_view keywords +
+//     QueryOptions, exceptions propagate). The serving layer's cache
+//     computes with it.
+//   - Execute — the public api::QueryRequest -> api::QueryResponse
+//     adapter over Query: validation and backend failures come back as
+//     typed Status codes (never exceptions), responses carry compute-time
+//     metadata, and an empty answer is distinguishable from an error.
+//     ExecuteBatch runs Execute over a caller-owned pool.
 //
-// Thread-safety contract (relied on by the batch paths and enforced by
+// Thread-safety contract (relied on by ExecuteBatch and enforced by
 // search_concurrency_test):
 //   - rel::Database, graph::DataGraph, gds::Gds, InvertedIndex: immutable
 //     after their build/annotate phase.
@@ -80,7 +80,10 @@ class SearchContext {
 
   /// Builds the inverted index over `subjects` — the only mutating phase.
   /// `db` and `backend` must outlive the context. Subjects keep their
-  /// registration order for indexing; each relation may appear once.
+  /// registration order for indexing. Throws std::invalid_argument when a
+  /// subject's G_DS is not rooted at its relation, or when a relation is
+  /// registered twice. Each G_DS must be annotated (importance present)
+  /// before prelim-l queries.
   static SearchContext Build(const rel::Database& db, core::OsBackend* backend,
                              std::vector<Subject> subjects);
 
@@ -99,19 +102,13 @@ class SearchContext {
   /// to Query with the same arguments. Thread-safe like Query.
   api::QueryResponse Execute(const api::QueryRequest& request) const;
 
-  /// Executes `requests` across `num_threads` workers (0 = hardware
-  /// concurrency; clamped to the batch size); one response per request, in
-  /// input order, each byte-identical to calling Execute serially.
-  /// Per-request failures are per-response statuses — one bad request
-  /// cannot sink the batch.
-  std::vector<api::QueryResponse> ExecuteBatch(
-      std::span<const api::QueryRequest> requests,
-      size_t num_threads = 0) const;
-
-  /// ExecuteBatch over an existing pool (reused across batches; the caller
-  /// keeps ownership). Must not be called from a task running on `pool`
-  /// itself — the blocking fan-in would deadlock a fully occupied pool
-  /// (see util::ParallelFor); nested batches need a second pool.
+  /// Executes `requests` across `pool` (reused across batches; the caller
+  /// keeps ownership); one response per request, in input order, each
+  /// byte-identical to calling Execute serially. Per-request failures are
+  /// per-response statuses — one bad request cannot sink the batch. Must
+  /// not be called from a task running on `pool` itself — the blocking
+  /// fan-in would deadlock a fully occupied pool (see util::ParallelFor);
+  /// nested batches need a second pool.
   std::vector<api::QueryResponse> ExecuteBatch(
       std::span<const api::QueryRequest> requests,
       util::ThreadPool& pool) const;
@@ -121,21 +118,6 @@ class SearchContext {
   /// call's stack; safe to call concurrently from any number of threads.
   std::vector<QueryResult> Query(std::string_view keywords,
                                  const QueryOptions& options = {}) const;
-
-  /// Legacy batch over the raw primitive (exceptions terminate — Query
-  /// throwing inside the fan-out violates the pool's no-throw contract).
-  /// Prefer ExecuteBatch, which contains failures as per-response
-  /// statuses. Deterministic: identical to calling Query serially.
-  std::vector<std::vector<QueryResult>> QueryBatch(
-      std::span<const std::string> queries, const QueryOptions& options = {},
-      size_t num_threads = 0) const;
-
-  /// QueryBatch over an existing pool (by-reference so a literal 0 thread
-  /// count can never ambiguously select this overload). Same nested-batch
-  /// caveat as the ExecuteBatch pool overload.
-  std::vector<std::vector<QueryResult>> QueryBatch(
-      std::span<const std::string> queries, const QueryOptions& options,
-      util::ThreadPool& pool) const;
 
   /// Renders one result in the paper's Example 5 format.
   std::string Render(const QueryResult& result) const;
@@ -153,9 +135,11 @@ class SearchContext {
 
   /// Moves the registered subjects back out in registration order, leaving
   /// the context empty — the deliberate rebuild flow: take the subjects
-  /// from a context you are about to discard, extend the set, Build a
-  /// fresh one, and RebindContext any serve::QueryService borrowing the
-  /// old context before destroying it.
+  /// from a context you are about to discard, extend the set, and Build a
+  /// fresh one. Only once nothing else queries the context: a
+  /// serve::QueryService borrowing it must first be rebound to a context
+  /// built from fresh subjects (RebindContext), since taking the subjects
+  /// under a live query is a data race.
   std::vector<Subject> TakeSubjects() &&;
 
  private:

@@ -1,6 +1,5 @@
 #include "serve/query_service.h"
 
-#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -9,14 +8,6 @@
 namespace osum::serve {
 namespace {
 
-/// An already-satisfied future, for the paths (cache hits, invalid
-/// requests) SubmitBatchAsync answers without touching the pool.
-std::future<api::QueryResponse> ReadyResponse(api::QueryResponse response) {
-  std::promise<api::QueryResponse> promise;
-  promise.set_value(std::move(response));
-  return promise.get_future();
-}
-
 /// The zero-copy bridge from the cache's value type to the response's:
 /// shares ownership of the CachedResult while exposing only its immutable
 /// result list.
@@ -24,16 +15,18 @@ api::SharedResults AliasResults(const ResultPtr& cached) {
   return api::SharedResults(cached, &cached->results);
 }
 
+/// Per-outcome latency reservoir size (most recent samples kept).
+constexpr size_t kLatencyWindow = 4096;
+
 }  // namespace
 
-void QueryService::LatencyRing::Add(double v, size_t window) {
-  if (window == 0) return;
-  if (samples.size() < window) {
+void QueryService::LatencyRing::Add(double v) {
+  if (samples.size() < kLatencyWindow) {
     samples.push_back(v);
   } else {
     samples[next] = v;
   }
-  next = (next + 1) % window;
+  next = (next + 1) % kLatencyWindow;
 }
 
 util::Summary QueryService::LatencyRing::Snapshot() const {
@@ -168,7 +161,7 @@ ResultPtr QueryService::ComputeCached(std::string_view keywords,
   });
   RecordLatency(/*hit=*/!computed, /*negative=*/result->negative(),
                 timer.ElapsedMicros());
-  if (computed_out != nullptr) *computed_out = computed;
+  *computed_out = computed;
   return result;
 }
 
@@ -201,96 +194,6 @@ api::QueryResponse QueryService::Execute(const api::QueryRequest& request) {
     return api::QueryResponse::Failure(key.status(), stats);
   }
   return ExecuteWithKey(request, *key);
-}
-
-std::future<api::QueryResponse> QueryService::SubmitAsync(
-    api::QueryRequest request) {
-  return pool_.SubmitWithFuture(
-      [this, request = std::move(request)]() -> api::QueryResponse {
-        return Execute(request);
-      });
-}
-
-std::vector<std::future<api::QueryResponse>> QueryService::SubmitBatchAsync(
-    std::vector<api::QueryRequest> requests) {
-  std::vector<std::future<api::QueryResponse>> futures;
-  futures.reserve(requests.size());
-  for (api::QueryRequest& request : requests) {
-    util::WallTimer timer;
-    api::StatusOr<std::string> key = request.ValidatedKey();
-    if (!key.ok()) {
-      api::QueryStats stats;
-      stats.epoch = cache_.epoch();
-      futures.push_back(ReadyResponse(
-          api::QueryResponse::Failure(key.status(), stats)));
-      continue;
-    }
-    if (ResultPtr hit = cache_.Lookup(*key)) {
-      // Answered at submission time: no pool hop, future already ready.
-      double micros = timer.ElapsedMicros();
-      RecordLatency(/*hit=*/true, /*negative=*/hit->negative(), micros);
-      api::QueryStats stats;
-      stats.cache_hit = true;
-      stats.negative = hit->negative();
-      stats.compute_micros = micros;
-      stats.epoch = cache_.epoch();
-      futures.push_back(ReadyResponse(
-          api::QueryResponse::Success(AliasResults(hit), stats)));
-      continue;
-    }
-    // Miss: compute on the pool. The canonical key was computed exactly
-    // once above and travels with the task; duplicates among the misses
-    // coalesce inside ComputeCached's GetOrCompute. ExecuteWithKey never
-    // throws, so the future always resolves to a response. The miss rides
-    // the same overload machinery as SubmitBatch: its relative budget is
-    // stamped into an absolute deadline here, the watermark may shed it
-    // (or a lower-budget pending miss) now, and the deadline is
-    // re-checked at dequeue. SubmitWithFuture runs the task inline after
-    // Stop(), so the ticket is always consumed.
-    uint64_t deadline =
-        request.deadline_micros() == 0
-            ? 0
-            : clock_->NowMicros() + request.deadline_micros();
-    std::shared_ptr<MissTicket> ticket;
-    if (!AdmitMiss(deadline, &ticket)) {
-      futures.push_back(
-          ReadyResponse(ShedResponse("shed at admission: pool over "
-                                     "watermark, lowest budget first")));
-      continue;
-    }
-    futures.push_back(pool_.SubmitWithFuture(
-        [this, request = std::move(request), key = std::move(*key),
-         ticket = std::move(ticket)]() -> api::QueryResponse {
-          switch (BeginMiss(ticket)) {
-            case MissGate::kShedByWatermark:
-              return ShedResponse("shed while queued: pool over "
-                                  "watermark, lowest budget first");
-            case MissGate::kExpiredInQueue:
-              return ShedResponse("deadline expired while queued");
-            case MissGate::kProceed:
-              break;
-          }
-          return ExecuteWithKey(request, key);
-        }));
-  }
-  return futures;
-}
-
-void QueryService::SubmitBatch(
-    std::vector<api::QueryRequest> requests,
-    std::function<void(size_t, api::QueryResponse)> on_done) {
-  // Relative budgets become absolute deadlines at entry; a front end that
-  // wants queueing time before this call to count against the budget
-  // stamps its own deadlines and uses the absolute overload directly.
-  std::vector<uint64_t> deadlines(requests.size(), 0);
-  uint64_t now = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].deadline_micros() != 0) {
-      if (now == 0) now = clock_->NowMicros();
-      deadlines[i] = now + requests[i].deadline_micros();
-    }
-  }
-  SubmitBatch(std::move(requests), std::move(deadlines), std::move(on_done));
 }
 
 void QueryService::SubmitBatch(
@@ -341,10 +244,10 @@ void QueryService::SubmitBatch(
                               "lowest budget first"));
       continue;
     }
-    // Compute on the pool, same shape as SubmitBatchAsync. ExecuteWithKey
-    // never throws and on_done must not, so the task honors the pool's
-    // no-throw contract. BeginMiss re-checks the budget at dequeue —
-    // time queued behind a backed-up pool counts.
+    // Compute on the pool. ExecuteWithKey never throws and on_done must
+    // not, so the task honors the pool's no-throw contract. BeginMiss
+    // re-checks the budget at dequeue — time queued behind a backed-up
+    // pool counts.
     bool submitted = pool_.Submit(
         [this, i, request = std::move(request), key = std::move(*key),
          ticket, on_done] {
@@ -373,90 +276,6 @@ void QueryService::SubmitBatch(
                      api::Status::Internal("service shutting down"), stats));
     }
   }
-}
-
-std::vector<api::QueryResponse> QueryService::ExecuteBatch(
-    std::vector<api::QueryRequest> requests) {
-  std::vector<std::future<api::QueryResponse>> futures =
-      SubmitBatchAsync(std::move(requests));
-  std::vector<api::QueryResponse> responses;
-  responses.reserve(futures.size());
-  for (std::future<api::QueryResponse>& f : futures) {
-    responses.push_back(f.get());
-  }
-  return responses;
-}
-
-ResultPtr QueryService::Query(std::string_view keywords,
-                              const search::QueryOptions& options) {
-  std::string key = api::CanonicalQueryKey(keywords, options);
-  return ComputeCached(keywords, options, key, nullptr);
-}
-
-std::future<ResultPtr> QueryService::SubmitAsync(std::string keywords,
-                                                 search::QueryOptions options) {
-  return pool_.SubmitWithFuture(
-      [this, keywords = std::move(keywords), options]() -> ResultPtr {
-        return Query(keywords, options);
-      });
-}
-
-void QueryService::Submit(std::string keywords, search::QueryOptions options,
-                          std::function<void(ResultPtr)> callback) {
-  pool_.Submit([this, keywords = std::move(keywords), options,
-                callback = std::move(callback)] {
-    // ThreadPool tasks must not throw (no try/catch in WorkerLoop), and
-    // unlike SubmitAsync there is no future to carry a query exception —
-    // deliver failure as a null result instead of terminating the process.
-    ResultPtr result;
-    try {
-      result = Query(keywords, options);
-    } catch (...) {
-      result = nullptr;
-    }
-    callback(std::move(result));
-  });
-}
-
-std::vector<ResultPtr> QueryService::QueryBatch(
-    std::span<const std::string> queries,
-    const search::QueryOptions& options) {
-  std::vector<ResultPtr> out(queries.size());
-  // The same fan-out shape as SubmitBatchAsync, at the ResultPtr level so
-  // the historical contract (shared cache objects, real exceptions) is
-  // preserved: hits answer inline, each miss becomes one pool future with
-  // its canonical key computed exactly once and threaded through.
-  std::vector<std::pair<size_t, std::future<ResultPtr>>> pending;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    util::WallTimer timer;
-    std::string key = api::CanonicalQueryKey(queries[i], options);
-    out[i] = cache_.Lookup(key);
-    if (out[i] != nullptr) {
-      RecordLatency(/*hit=*/true, /*negative=*/out[i]->negative(),
-                    timer.ElapsedMicros());
-      continue;
-    }
-    // The span element outlives the gather loop below, so the task may
-    // borrow the query string instead of copying it.
-    pending.emplace_back(i, pool_.SubmitWithFuture(
-                                [this, &query = queries[i], options,
-                                 key = std::move(key)]() -> ResultPtr {
-                                  return ComputeCached(query, options, key,
-                                                       nullptr);
-                                }));
-  }
-  // Gather every future (the remaining misses keep running even when one
-  // fails), then rethrow the first failure in input order.
-  std::exception_ptr first_error;
-  for (auto& [index, future] : pending) {
-    try {
-      out[index] = future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return out;
 }
 
 void QueryService::RebindContext(const search::SearchContext& context) {
@@ -495,12 +314,12 @@ void QueryService::RebindContext(const search::SearchContext& context) {
 void QueryService::RecordLatency(bool hit, bool negative, double micros) {
   util::MutexLock lock(latency_mu_);
   ++queries_;
-  all_latency_.Add(micros, options_.latency_window);
-  (hit ? hit_latency_ : miss_latency_).Add(micros, options_.latency_window);
+  all_latency_.Add(micros);
+  (hit ? hit_latency_ : miss_latency_).Add(micros);
   // Negative hits are double-attributed (they are hits, and they are
   // negative): negative_hit_latency_us answers "how fast do we say no?".
   if (hit && negative) {
-    negative_hit_latency_.Add(micros, options_.latency_window);
+    negative_hit_latency_.Add(micros);
   }
 }
 

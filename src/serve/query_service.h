@@ -3,55 +3,44 @@
 //
 // QueryService is what a production deployment would put between user
 // traffic and the engine. The public contract is the api layer's
-// request/response pair:
-//   - Execute(QueryRequest) -> QueryResponse — cache-aware synchronous
-//     query; validation and backend failures come back as typed Status
-//     codes, and response.stats reports cache hit/miss, wall time and the
-//     cache epoch.
-//   - SubmitAsync(QueryRequest) -> future<QueryResponse> — same answer,
-//     computed on the service's pool.
-//   - SubmitBatchAsync(requests) -> one future per request. Fully async:
-//     cache hits resolve immediately, misses fan out over the shared pool,
-//     and the submitting thread never blocks — the composition point for
-//     an event-loop/RPC front end. Duplicate misses within (and across)
-//     batches coalesce onto one computation.
-// Every path shares one ResultCache keyed by api::CanonicalQueryKey, so
-// skewed workloads — the realistic shape of keyword traffic — collapse
-// onto one computation per distinct (keyword set, options) pair.
-//
-// The string-based overloads (Query / SubmitAsync / Submit / QueryBatch)
-// are deprecated shims over the same machinery: they keep the historical
-// exception-throwing, ResultPtr-returning contract. QueryBatch is
-// reimplemented on top of the per-query-future fan-out and stays
-// byte-identical to serial execution.
+// request/response pair, through two entry points over one cache-aware
+// compute path:
+//   - Execute(QueryRequest) -> QueryResponse — synchronous and inline on
+//     the calling thread; validation and backend failures come back as
+//     typed Status codes, and response.stats reports cache hit/miss, wall
+//     time and the cache epoch.
+//   - SubmitBatch(requests, deadlines, on_done) — the async, batched,
+//     callback-based entry the TCP front end (net::Server) drives:
+//     invalid requests, expired budgets and cache hits are answered inline,
+//     misses fan out over the service's pool, and duplicate misses within
+//     (and across) batches coalesce onto one computation.
+// Both share one ResultCache keyed by api::CanonicalQueryKey, so skewed
+// workloads — the realistic shape of keyword traffic — collapse onto one
+// computation per distinct (keyword set, options) pair.
 //
 // Lifetime and threading contract:
-//   - The service *borrows* its SearchContext; the caller keeps it alive
-//     (SizeLSearchEngine::RegisterSubject now throws after BuildIndex
-//     precisely so a borrowed context cannot be destroyed under a
-//     service). All public methods are thread-safe.
-//   - When the context is rebuilt, call RebindContext(new_ctx) BEFORE
-//     destroying the old one: it swaps the pointer, bumps the cache
+//   - The service *borrows* its SearchContext; the caller keeps it alive.
+//     All public methods are thread-safe.
+//   - A context never gains subjects after SearchContext::Build. To
+//     change them, Build a fresh context and call RebindContext(new_ctx)
+//     BEFORE destroying the old one: it swaps the pointer, bumps the cache
 //     epoch, and blocks until every in-flight query still executing
 //     against the old context has finished — once it returns, the old
 //     context is unreferenced by the service and no result computed
 //     against it is ever served, so the caller may destroy it.
-//   - Callbacks passed to Submit run on worker threads and must not throw
-//     (util::ThreadPool contract). They must not block on QueryBatch or on
-//     SubmitBatchAsync futures (a blocked worker can deadlock a fully
-//     occupied pool); Execute, Query and SubmitAsync are safe from
-//     callbacks.
+//   - SubmitBatch callbacks may run on worker threads; they must not throw
+//     (util::ThreadPool contract) and must not block waiting for other
+//     SubmitBatch answers (a blocked worker can deadlock a fully occupied
+//     pool). Execute is safe from callbacks.
 #ifndef OSUM_SERVE_QUERY_SERVICE_H_
 #define OSUM_SERVE_QUERY_SERVICE_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,8 +70,7 @@ struct OverloadOptions {
 };
 
 struct ServiceOptions {
-  /// Worker threads for the async paths and batch misses. 0 = hardware
-  /// concurrency.
+  /// Worker threads for SubmitBatch misses. 0 = hardware concurrency.
   size_t num_threads = 0;
   ResultCacheOptions cache;
   OverloadOptions overload;
@@ -92,8 +80,6 @@ struct ServiceOptions {
   /// every context passed to RebindContext; nullopt leaves each context's
   /// own configuration untouched.
   std::optional<core::PartialsMemoOptions> partials;
-  /// Per-outcome latency reservoir size (most recent samples kept).
-  size_t latency_window = 4096;
 };
 
 class QueryService {
@@ -106,90 +92,37 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Cache-aware synchronous query — the public contract every other
-  /// entry point rides on. Hit: the shared immutable cached result list,
-  /// zero-copy. Miss: computes inline (coalescing concurrent misses for
-  /// the same key), publishes, returns. Invalid requests and backend
-  /// failures come back as non-OK statuses (nothing is cached for
+  /// Cache-aware synchronous query. Hit: the shared immutable cached
+  /// result list, zero-copy. Miss: computes inline (coalescing concurrent
+  /// misses for the same key), publishes, returns. Invalid requests and
+  /// backend failures come back as non-OK statuses (nothing is cached for
   /// either); result bytes are identical to SearchContext::Query with the
-  /// same arguments.
+  /// same arguments. Ignores request.deadline_micros(): the caller is
+  /// already waiting.
   api::QueryResponse Execute(const api::QueryRequest& request);
 
-  /// Async submission of one request: runs on the service's pool; the
-  /// future resolves to the same value Execute would return (it never
-  /// carries an exception).
-  std::future<api::QueryResponse> SubmitAsync(api::QueryRequest request);
-
-  /// The fully async batch: one future per request, in input order.
-  /// Never blocks the submitting thread — cache hits (and invalid
-  /// requests) resolve immediately, misses fan out over the shared pool
-  /// with duplicates coalesced. Futures are independent: consume them in
-  /// any order, or drop them (the computations still populate the cache).
-  std::vector<std::future<api::QueryResponse>> SubmitBatchAsync(
-      std::vector<api::QueryRequest> requests);
-
-  /// Callback twin of SubmitBatchAsync, for event-loop front ends
-  /// (net::Server) that cannot block on futures: identical fan-out —
-  /// invalid requests and cache hits are answered inline on the
-  /// submitting thread, misses run on the pool with duplicates coalesced
-  /// — but each answer is delivered as on_done(index, response) instead
-  /// of a future. on_done may therefore run on the submitting thread or
-  /// on a worker; it must not throw and must not block on other batched
-  /// QueryService calls. Every request is answered exactly once: if the
-  /// pool has already stopped (service teardown), the miss is answered
-  /// inline with kInternal rather than dropped.
-  void SubmitBatch(std::vector<api::QueryRequest> requests,
-                   std::function<void(size_t, api::QueryResponse)> on_done);
-
-  /// Deadline-aware SubmitBatch: `deadlines_micros[i]` is the ABSOLUTE
-  /// deadline of requests[i] on this service's clock() (0 = none) — the
-  /// wire front end stamps `now + request.deadline_micros()` at decode
-  /// time, so time spent queued in the front end counts against the
-  /// budget. An expired request is answered kDeadlineExceeded at
-  /// admission without touching the cache or backend
-  /// (metrics().sheds_at_admission); a miss whose deadline expires while
-  /// queued behind the pool is answered the same way when dequeued,
-  /// before compute (metrics().sheds_at_dequeue). The plain SubmitBatch
-  /// overload derives deadlines from each request's relative budget at
-  /// entry and forwards here.
+  /// The async batch: each answer is delivered as on_done(index, response).
+  /// Invalid requests and cache hits are answered inline on the submitting
+  /// thread, misses run on the pool with duplicates coalesced — so on_done
+  /// may run on the submitting thread or on a worker; it must not throw
+  /// and must not block on other SubmitBatch answers. The submitting
+  /// thread never blocks on a miss.
+  ///
+  /// `deadlines_micros[i]` is the ABSOLUTE deadline of requests[i] on this
+  /// service's clock() (0 = none; missing entries count as 0) — the wire
+  /// front end stamps `now + request.deadline_micros()` at dispatch, so
+  /// time spent queued in the front end counts against the budget. An
+  /// expired request is answered kDeadlineExceeded at admission without
+  /// touching the cache or backend (metrics().sheds_at_admission); a miss
+  /// whose deadline expires while queued behind the pool is answered the
+  /// same way when dequeued, before compute (metrics().sheds_at_dequeue).
+  ///
+  /// Every request is answered exactly once: if the pool has already
+  /// stopped (service teardown), the miss is answered inline with
+  /// kInternal rather than dropped.
   void SubmitBatch(std::vector<api::QueryRequest> requests,
                    std::vector<uint64_t> deadlines_micros,
                    std::function<void(size_t, api::QueryResponse)> on_done);
-
-  /// Blocking batch over SubmitBatchAsync: responses in input order.
-  /// Per-request failures are per-response statuses. Must not be called
-  /// from a worker callback (see header note).
-  std::vector<api::QueryResponse> ExecuteBatch(
-      std::vector<api::QueryRequest> requests);
-
-  /// Deprecated shim: cache-aware synchronous query with the historical
-  /// contract — backend failures propagate as exceptions. Prefer Execute.
-  ResultPtr Query(std::string_view keywords,
-                  const search::QueryOptions& options = {});
-
-  /// Deprecated shim: async submission with the historical contract (the
-  /// future rethrows query exceptions). Prefer SubmitAsync(QueryRequest).
-  std::future<ResultPtr> SubmitAsync(std::string keywords,
-                                     search::QueryOptions options = {});
-
-  /// Fire-and-forget: `callback` is invoked on a worker thread with the
-  /// result, or with nullptr if the query threw (there is no future to
-  /// carry the exception). The callback must not throw and must not block
-  /// on other QueryService batched calls.
-  void Submit(std::string keywords, search::QueryOptions options,
-              std::function<void(ResultPtr)> callback);
-
-  /// Deprecated shim, reimplemented over the per-query-future fan-out:
-  /// cache-aware batch, results in input order, byte-identical to serial
-  /// execution. Hits are answered inline from the cache; misses run on
-  /// the pool (duplicates within the batch coalesce onto one
-  /// computation). Blocks until every answer is ready. If any miss
-  /// computation throws, the remaining misses still run and the first
-  /// exception (in input order) is rethrown on the calling thread. Must
-  /// not be called from a worker callback. Prefer ExecuteBatch /
-  /// SubmitBatchAsync.
-  std::vector<ResultPtr> QueryBatch(std::span<const std::string> queries,
-                                    const search::QueryOptions& options = {});
 
   /// Atomically redirects future queries to `context`, invalidates the
   /// cache, and drains: blocks until every in-flight query still executing
@@ -214,7 +147,6 @@ class QueryService {
     util::MutexLock lock(context_mu_);
     return *binding_->ctx;
   }
-  size_t num_threads() const { return pool_.size(); }
 
   /// The time source deadlines are measured against: options.cache.clock,
   /// or the shared SystemClock when none was injected. Front ends stamp
@@ -258,11 +190,11 @@ class QueryService {
     std::vector<double> samples;
     size_t next = 0;
 
-    void Add(double v, size_t window);
+    void Add(double v);
     util::Summary Snapshot() const;
   };
 
-  /// The one cache-aware compute path every entry point rides: hit,
+  /// The one cache-aware compute path both entry points ride: hit,
   /// coalesced wait, or inline compute under a context pin. `key` is the
   /// precomputed canonical key (canonicalized exactly once per query —
   /// callers thread it through). Records hit/miss latency on success
@@ -273,7 +205,7 @@ class QueryService {
                           const std::string& key, bool* computed_out);
 
   /// Status-typed wrapper over ComputeCached for a pre-validated request;
-  /// never throws (the future-based paths rely on that).
+  /// never throws (pooled SubmitBatch misses rely on that).
   api::QueryResponse ExecuteWithKey(const api::QueryRequest& request,
                                     const std::string& key);
 

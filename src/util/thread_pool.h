@@ -1,6 +1,6 @@
 // Fixed-size worker pool and fan-out/fan-in helpers.
 //
-// Built for the batched query path (search::SearchContext::QueryBatch):
+// Built for the batched query path (search::SearchContext::ExecuteBatch):
 // queries are embarrassingly parallel against shared immutable structures,
 // so all that is needed is a FIFO pool and a dynamic-scheduling
 // ParallelFor (joined via std::latch). Tasks must not throw — there is no
@@ -44,10 +44,9 @@ class ThreadPool {
   /// so callers that must deliver a completion can do so themselves.
   bool Submit(std::function<void()> task) EXCLUDES(mu_);
 
-  /// Enqueues `fn` and returns a future for its result (the asynchronous
-  /// submission path of serve::QueryService). Unlike Submit, `fn` may
-  /// throw: the exception is captured in the future and rethrown by
-  /// get(). Blocking on the future from a task running on this same pool
+  /// Enqueues `fn` and returns a future for its result. Unlike Submit,
+  /// `fn` may throw: the exception is captured in the future and rethrown
+  /// by get(). Blocking on the future from a task running on this same pool
   /// is subject to the ParallelFor deadlock caveat below — the producer
   /// task must already be running, not queued behind the waiter.
   /// After Stop() the task runs INLINE on the calling thread instead: the

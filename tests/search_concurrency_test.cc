@@ -1,6 +1,6 @@
-// Concurrency guarantees of the search layer: QueryBatch over a shared
-// immutable SearchContext must be byte-identical to serial Query execution
-// on both join back ends, and hammering one context from many threads must
+// Concurrency guarantees of the search layer: ExecuteBatch over a shared
+// immutable SearchContext must be byte-identical to serial Execute on both
+// join back ends, and hammering one context from many threads must
 // expose zero mutable shared state (run under TSan via
 // `OSUM_SANITIZE=thread`, see scripts/ci.sh).
 #include <atomic>
@@ -21,6 +21,7 @@ namespace {
 
 using osum::testing::ScoredDblp;
 using osum::testing::ScoredTpch;
+using osum::api::DeterministicResponseText;
 using osum::api::DeterministicResultText;
 using osum::testing::SmallDblpConfig;
 using osum::testing::SmallTpchConfig;
@@ -46,27 +47,47 @@ SearchContext BuildDblpContext(const datasets::Dblp& d,
   return SearchContext::Build(d.db, backend, std::move(subjects));
 }
 
+std::vector<api::QueryRequest> ToRequests(const std::vector<std::string>& mix,
+                                          const QueryOptions& options) {
+  std::vector<api::QueryRequest> requests;
+  requests.reserve(mix.size());
+  for (const std::string& q : mix) {
+    requests.push_back(api::QueryRequest(q).WithOptions(options));
+  }
+  return requests;
+}
+
+/// ExecuteBatch over a `threads`-worker pool.
+std::vector<api::QueryResponse> Batch(const SearchContext& ctx,
+                                      const std::vector<std::string>& mix,
+                                      const QueryOptions& options,
+                                      size_t threads) {
+  util::ThreadPool pool(threads);
+  return ctx.ExecuteBatch(ToRequests(mix, options), pool);
+}
+
 void ExpectBatchMatchesSerial(const SearchContext& ctx,
                               const std::vector<std::string>& mix,
                               const QueryOptions& options) {
   std::vector<std::string> serial;
   serial.reserve(mix.size());
-  for (const std::string& q : mix) {
-    serial.push_back(DeterministicResultText(ctx.Query(q, options)));
+  for (const api::QueryRequest& request : ToRequests(mix, options)) {
+    serial.push_back(DeterministicResponseText(ctx.Execute(request)));
   }
 
   for (size_t threads : {2u, 4u, 8u}) {
-    auto batch = ctx.QueryBatch(mix, options, threads);
+    std::vector<api::QueryResponse> batch = Batch(ctx, mix, options, threads);
     ASSERT_EQ(batch.size(), mix.size()) << threads << " threads";
     for (size_t i = 0; i < mix.size(); ++i) {
-      EXPECT_EQ(DeterministicResultText(batch[i]), serial[i])
+      EXPECT_TRUE(batch[i].ok()) << mix[i];
+      EXPECT_EQ(DeterministicResponseText(batch[i]), serial[i])
           << "query \"" << mix[i] << "\" diverged at " << threads
           << " threads";
     }
   }
 }
 
-TEST(QueryBatchEquivalence, DataGraphBackendDblp) {
+TEST(ExecuteBatchEquivalence, DataGraphBackendDblp) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryOptions options;
@@ -75,7 +96,7 @@ TEST(QueryBatchEquivalence, DataGraphBackendDblp) {
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
-TEST(QueryBatchEquivalence, DatabaseBackendDblp) {
+TEST(ExecuteBatchEquivalence, DatabaseBackendDblp) {
   ScoredDblp f(SmallDblpConfig());
   // Latency 0: the simulated round-trip only burns wall clock and must not
   // affect results.
@@ -88,7 +109,7 @@ TEST(QueryBatchEquivalence, DatabaseBackendDblp) {
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
-TEST(QueryBatchEquivalence, BothBackendsAgreeOnTpch) {
+TEST(ExecuteBatchEquivalence, BothBackendsAgreeOnTpch) {
   ScoredTpch f(SmallTpchConfig());
   core::DatabaseBackend sql(f.t.db, f.t.links, /*per_select_micros=*/0.0);
   std::vector<SearchContext::Subject> subjects;
@@ -113,28 +134,27 @@ TEST(QueryBatchEquivalence, BothBackendsAgreeOnTpch) {
   ExpectBatchMatchesSerial(sql_ctx, mix, options);
   // The back ends themselves must agree tuple-for-tuple (importance-sorted
   // access paths make OS generation backend-independent).
-  auto a = graph_ctx.QueryBatch(mix, options, size_t{4});
-  auto b = sql_ctx.QueryBatch(mix, options, size_t{4});
+  std::vector<api::QueryResponse> a = Batch(graph_ctx, mix, options, 4);
+  std::vector<api::QueryResponse> b = Batch(sql_ctx, mix, options, 4);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(DeterministicResultText(a[i]), DeterministicResultText(b[i]))
+    EXPECT_EQ(DeterministicResponseText(a[i]), DeterministicResponseText(b[i]))
         << "query " << mix[i];
   }
 }
 
-TEST(QueryBatchEquivalence, DegenerateBatches) {
+TEST(ExecuteBatchEquivalence, DegenerateBatches) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  EXPECT_TRUE(ctx.QueryBatch({}, {}, size_t{4}).empty());
-  std::vector<std::string> one{"faloutsos"};
+  EXPECT_TRUE(Batch(ctx, {}, {}, 4).empty());
   // More threads than queries clamps to the batch size.
-  auto batch = ctx.QueryBatch(one, {}, size_t{16});
+  std::vector<api::QueryResponse> batch = Batch(ctx, {"faloutsos"}, {}, 16);
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(DeterministicResultText(batch[0]),
+  EXPECT_EQ(DeterministicResultText(batch[0].result_list()),
             DeterministicResultText(ctx.Query("faloutsos")));
 }
 
-TEST(QueryBatchEquivalence, SummaryRankingMatchesSerial) {
+TEST(ExecuteBatchEquivalence, SummaryRankingMatchesSerial) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryOptions options;
@@ -191,7 +211,7 @@ TEST(SearchConcurrencyStress, SharedContextSharedBackend) {
   EXPECT_GT(f.d.db.io_stats().Snapshot().select_calls, 0u);
 }
 
-// Same canary through the pool path: overlapping QueryBatch calls on one
+// Same canary through the pool path: overlapping ExecuteBatch calls on one
 // context (the pool is stressed too — many small batches churn the queue).
 TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
   ScoredDblp f(SmallDblpConfig());
@@ -207,15 +227,17 @@ TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
     golden.push_back(DeterministicResultText(ctx.Query(q, options)));
   }
 
+  const std::vector<api::QueryRequest> requests = ToRequests(mix, options);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> drivers;
   for (size_t w = 0; w < 4; ++w) {
     drivers.emplace_back([&] {
       util::ThreadPool pool(3);
       for (int round = 0; round < 2; ++round) {
-        auto batch = ctx.QueryBatch(mix, options, pool);
+        std::vector<api::QueryResponse> batch =
+            ctx.ExecuteBatch(requests, pool);
         for (size_t i = 0; i < mix.size(); ++i) {
-          if (DeterministicResultText(batch[i]) != golden[i]) {
+          if (DeterministicResultText(batch[i].result_list()) != golden[i]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }

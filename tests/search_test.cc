@@ -1,11 +1,12 @@
-// Tests for the inverted index and the end-to-end size-l search engine.
+// Tests for the inverted index and the end-to-end size-l search path
+// (SearchContext::Build + Query).
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/os_backend.h"
 #include "datasets/dblp.h"
-#include "search/engine.h"
 #include "search/inverted_index.h"
 #include "search/search_context.h"
 
@@ -22,15 +23,18 @@ using datasets::DblpPaperGds;
 struct SearchFixture {
   Dblp d;
   core::DataGraphBackend backend;
-  SizeLSearchEngine engine;
+  SearchContext ctx;
 
   SearchFixture()
       : d(MakeDblp()),
         backend(d.db, d.links, d.data_graph),
-        engine(d.db, &backend) {
-    engine.RegisterSubject(d.author, DblpAuthorGds(d));
-    engine.RegisterSubject(d.paper, DblpPaperGds(d));
-    engine.BuildIndex();
+        ctx(SearchContext::Build(d.db, &backend, AuthorAndPaper(d))) {}
+
+  static std::vector<SearchContext::Subject> AuthorAndPaper(const Dblp& d) {
+    std::vector<SearchContext::Subject> subjects;
+    subjects.push_back({d.author, DblpAuthorGds(d)});
+    subjects.push_back({d.paper, DblpPaperGds(d)});
+    return subjects;
   }
 
   static Dblp MakeDblp() {
@@ -86,7 +90,7 @@ TEST(Engine, Q1ReturnsThreeRankedSizeLOss) {
   SearchFixture f;
   QueryOptions options;
   options.l = 15;
-  auto results = f.engine.Query("Faloutsos", options);
+  auto results = f.ctx.Query("Faloutsos", options);
   ASSERT_EQ(results.size(), 3u);
   // Ranked by global importance, descending.
   EXPECT_GE(results[0].subject_importance, results[1].subject_importance);
@@ -103,7 +107,7 @@ TEST(Engine, SizeLSelectionRespectsL) {
   for (size_t l : {5u, 10u, 30u}) {
     QueryOptions options;
     options.l = l;
-    auto results = f.engine.Query("christos faloutsos", options);
+    auto results = f.ctx.Query("christos faloutsos", options);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].selection.nodes.size(),
               std::min(l, results[0].os.size()));
@@ -114,7 +118,7 @@ TEST(Engine, CompleteOsWhenLZero) {
   SearchFixture f;
   QueryOptions options;
   options.l = 0;
-  auto results = f.engine.Query("christos faloutsos", options);
+  auto results = f.ctx.Query("christos faloutsos", options);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].selection.nodes.size(), results[0].os.size());
   EXPECT_GT(results[0].os.size(), 100u);  // Christos's OS is large
@@ -124,7 +128,7 @@ TEST(Engine, MaxResultsTruncates) {
   SearchFixture f;
   QueryOptions options;
   options.max_results = 2;
-  auto results = f.engine.Query("Faloutsos", options);
+  auto results = f.ctx.Query("Faloutsos", options);
   EXPECT_EQ(results.size(), 2u);
 }
 
@@ -135,8 +139,8 @@ TEST(Engine, PrelimAndCompleteAgreeOnSelectionQuality) {
   with_prelim.use_prelim = true;
   without.use_prelim = false;
   with_prelim.algorithm = without.algorithm = core::SizeLAlgorithm::kDp;
-  auto a = f.engine.Query("christos faloutsos", with_prelim);
-  auto b = f.engine.Query("christos faloutsos", without);
+  auto a = f.ctx.Query("christos faloutsos", with_prelim);
+  auto b = f.ctx.Query("christos faloutsos", without);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   // Prelim may lose a little quality but not much (Section 6.2: <= 4%).
@@ -145,7 +149,7 @@ TEST(Engine, PrelimAndCompleteAgreeOnSelectionQuality) {
 
 TEST(Engine, MultiSubjectSearchCoversPapers) {
   SearchFixture f;
-  auto results = f.engine.Query("power law");
+  auto results = f.ctx.Query("power law");
   EXPECT_GT(results.size(), 0u);
   bool has_paper = false;
   for (const QueryResult& r : results) {
@@ -158,24 +162,35 @@ TEST(Engine, RenderShowsSubjectAndIndentation) {
   SearchFixture f;
   QueryOptions options;
   options.l = 8;
-  auto results = f.engine.Query("christos faloutsos", options);
+  auto results = f.ctx.Query("christos faloutsos", options);
   ASSERT_EQ(results.size(), 1u);
-  std::string text = f.engine.Render(results[0]);
+  std::string text = f.ctx.Render(results[0]);
   EXPECT_NE(text.find("Author: Christos Faloutsos"), std::string::npos);
   EXPECT_NE(text.find("..Paper:"), std::string::npos);
 }
 
-TEST(Engine, RegisterSubjectAfterBuildIndexThrows) {
-  // The documented foot-gun, now loud: re-registering would destroy the
-  // live SearchContext under anyone who borrowed it (worker threads,
-  // serve::QueryService), so the engine refuses.
-  SearchFixture f;
-  const SearchContext* before = &f.engine.context();
-  EXPECT_THROW(f.engine.RegisterSubject(f.d.author, DblpAuthorGds(f.d)),
-               std::logic_error);
-  // The context survived untouched and still answers queries.
-  EXPECT_EQ(&f.engine.context(), before);
-  EXPECT_FALSE(f.engine.Query("faloutsos").empty());
+// Build is the only place subjects are registered, so its preconditions
+// are checked in every build type, not only under assert.
+TEST(SearchContext, BuildRejectsAGdsRootedElsewhere) {
+  Dblp d = SearchFixture::MakeDblp();
+  core::DataGraphBackend backend(d.db, d.links, d.data_graph);
+  std::vector<SearchContext::Subject> subjects;
+  subjects.push_back({d.paper, DblpAuthorGds(d)});
+  EXPECT_THROW(SearchContext::Build(d.db, &backend, std::move(subjects)),
+               std::invalid_argument);
+}
+
+TEST(SearchContext, BuildRejectsADuplicateRelation) {
+  // Accepting it would silently drop the second G_DS and list the relation
+  // twice in the registration order, so TakeSubjects would move one Gds
+  // out twice.
+  Dblp d = SearchFixture::MakeDblp();
+  core::DataGraphBackend backend(d.db, d.links, d.data_graph);
+  std::vector<SearchContext::Subject> subjects =
+      SearchFixture::AuthorAndPaper(d);
+  subjects.push_back({d.author, DblpAuthorGds(d)});
+  EXPECT_THROW(SearchContext::Build(d.db, &backend, std::move(subjects)),
+               std::invalid_argument);
 }
 
 TEST(SearchContext, TakeSubjectsFeedsAFreshBuild) {
@@ -244,7 +259,7 @@ TEST(Engine, AlgorithmsAllProduceValidResults) {
     QueryOptions options;
     options.l = 10;
     options.algorithm = algo;
-    auto results = f.engine.Query("Faloutsos", options);
+    auto results = f.ctx.Query("Faloutsos", options);
     ASSERT_EQ(results.size(), 3u) << core::AlgorithmName(algo);
     for (const QueryResult& r : results) {
       EXPECT_TRUE(core::IsValidSelection(r.os, r.selection, options.l))

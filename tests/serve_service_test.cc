@@ -1,11 +1,12 @@
 // QueryService end-to-end: cached results must be byte-identical to
-// uncached SearchContext::Query on both join back ends, the async paths
-// (future + callback) must agree with the sync path, the batched path must
-// be cache-aware, and rebinding a rebuilt context must invalidate — a
-// stale context can never serve cached results.
+// uncached SearchContext::Query on both join back ends, the async batched
+// path (SubmitBatch) must agree with the sync path (Execute) and be
+// cache-aware, and rebinding a rebuilt context must invalidate — a stale
+// context can never serve cached results.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -19,7 +20,6 @@
 #include "core/os_backend.h"
 #include "db_fixtures.h"
 #include "api/codec.h"
-#include "search/engine.h"
 #include "serve/clock.h"
 #include "serve/query_service.h"
 
@@ -45,6 +45,63 @@ ServiceOptions SmallService() {
   o.num_threads = 3;
   o.cache.num_shards = 2;
   return o;
+}
+
+api::QueryRequest Req(const std::string& keywords,
+                      const search::QueryOptions& options = {}) {
+  return api::QueryRequest(keywords).WithOptions(options);
+}
+
+/// Collects SubmitBatch callbacks and blocks until all have fired.
+class BatchCollector {
+ public:
+  explicit BatchCollector(size_t n) : answered_(n, 0), responses_(n) {}
+
+  std::function<void(size_t, api::QueryResponse)> Sink() {
+    return [this](size_t i, api::QueryResponse response) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++answered_[i];
+      responses_[i] = std::move(response);
+      cv_.notify_all();
+    };
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ASSERT_TRUE(cv_.wait_for(lock, std::chrono::seconds(30), [&] {
+      for (int count : answered_) {
+        if (count == 0) return false;
+      }
+      return true;
+    }));
+  }
+  const api::QueryResponse& response(size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return responses_[i];
+  }
+  int answered(size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return answered_[i];
+  }
+  std::vector<api::QueryResponse> TakeResponses() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(responses_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<int> answered_;
+  std::vector<api::QueryResponse> responses_;
+};
+
+/// SubmitBatch without deadlines, blocking until every answer arrived;
+/// responses in input order.
+std::vector<api::QueryResponse> SubmitAndWait(
+    QueryService& service, std::vector<api::QueryRequest> requests) {
+  BatchCollector collector(requests.size());
+  service.SubmitBatch(std::move(requests), {}, collector.Sink());
+  collector.Wait();
+  return collector.TakeResponses();
 }
 
 /// Delegating back end that can hold every join call on a gate (to keep a
@@ -149,20 +206,20 @@ void ExpectHitMatchesRecompute(const search::SearchContext& ctx) {
   const std::string query = "faloutsos";
   std::string golden = DeterministicResultText(ctx.Query(query, options));
 
-  ResultPtr first = service.Query(query, options);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(DeterministicResultText(first->results), golden);
+  api::QueryResponse first = service.Execute(Req(query, options));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(DeterministicResultText(first.result_list()), golden);
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 
-  ResultPtr second = service.Query(query, options);
+  api::QueryResponse second = service.Execute(Req(query, options));
   // A hit is the same immutable object, not a recompute.
-  EXPECT_EQ(second.get(), first.get());
-  EXPECT_EQ(DeterministicResultText(second->results), golden);
+  EXPECT_EQ(second.results.get(), first.results.get());
+  EXPECT_EQ(DeterministicResultText(second.result_list()), golden);
   Metrics m = service.metrics();
   EXPECT_EQ(m.cache.misses, 1u);
   EXPECT_EQ(m.cache.hits, 1u);
   EXPECT_EQ(m.queries, 2u);
-  EXPECT_GT(first->approx_bytes, 0u);
+  EXPECT_GT(m.cache.approx_bytes, 0u);
 }
 
 TEST(QueryServiceEquivalence, HitMatchesRecomputeDataGraphBackend) {
@@ -182,18 +239,20 @@ TEST(QueryServiceEquivalence, KeywordNormalizationSharesOneEntry) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  ResultPtr a = service.Query("Christos  Faloutsos");
-  ResultPtr b = service.Query("faloutsos christos");
-  EXPECT_EQ(a.get(), b.get());
+  api::QueryResponse a = service.Execute(Req("Christos  Faloutsos"));
+  api::QueryResponse b = service.Execute(Req("faloutsos christos"));
+  EXPECT_EQ(a.results.get(), b.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 1u);
   // Different options are different entries.
   search::QueryOptions other;
   other.l = 7;
-  ResultPtr c = service.Query("christos faloutsos", other);
-  EXPECT_NE(c.get(), a.get());
+  api::QueryResponse c = service.Execute(Req("christos faloutsos", other));
+  EXPECT_NE(c.results.get(), a.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 2u);
 }
 
+// The async callback path, delivered through a test-side future, agrees
+// with the sync path and shares its cache: one compute total.
 TEST(QueryServiceAsync, FutureAndCallbackAgreeWithSync) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
@@ -203,21 +262,26 @@ TEST(QueryServiceAsync, FutureAndCallbackAgreeWithSync) {
 
   std::string golden = DeterministicResultText(ctx.Query("databases", options));
 
-  std::future<ResultPtr> fut = service.SubmitAsync("databases", options);
-  ResultPtr from_future = fut.get();
-  ASSERT_NE(from_future, nullptr);
-  EXPECT_EQ(DeterministicResultText(from_future->results), golden);
+  std::promise<api::QueryResponse> delivered;
+  std::vector<api::QueryRequest> requests;
+  requests.push_back(Req("databases", options));
+  service.SubmitBatch(std::move(requests), {},
+                      [&](size_t, api::QueryResponse response) {
+                        delivered.set_value(std::move(response));
+                      });
+  api::QueryResponse from_callback = delivered.get_future().get();
+  ASSERT_TRUE(from_callback.ok());
+  EXPECT_FALSE(from_callback.stats.cache_hit);
+  EXPECT_EQ(DeterministicResultText(from_callback.result_list()), golden);
 
-  std::promise<ResultPtr> delivered;
-  service.Submit("databases", options,
-                 [&](ResultPtr r) { delivered.set_value(std::move(r)); });
-  ResultPtr from_callback = delivered.get_future().get();
-  ASSERT_NE(from_callback, nullptr);
-  EXPECT_EQ(DeterministicResultText(from_callback->results), golden);
-  // The async paths share the cache: one compute total.
+  api::QueryResponse direct = service.Execute(Req("databases", options));
+  EXPECT_TRUE(direct.stats.cache_hit);
+  EXPECT_EQ(direct.results.get(), from_callback.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 }
 
+// Duplicates coalesce, answers arrive in input order byte-identical to
+// serial execution, and a re-run is pure hits on the same immutable lists.
 TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
@@ -230,21 +294,23 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
   std::vector<std::string> queries = {"faloutsos", "databases", "mining",
                                       "faloutsos", "power law",
                                       "nosuchkeywordanywhere", "databases"};
-  std::vector<ResultPtr> batch = service.QueryBatch(queries, options);
+  std::vector<api::QueryRequest> requests;
+  for (const std::string& q : queries) requests.push_back(Req(q, options));
+  std::vector<api::QueryResponse> batch = SubmitAndWait(service, requests);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_NE(batch[i], nullptr) << queries[i];
-    EXPECT_EQ(DeterministicResultText(batch[i]->results),
+    ASSERT_TRUE(batch[i].ok()) << queries[i];
+    EXPECT_EQ(DeterministicResultText(batch[i].result_list()),
               DeterministicResultText(ctx.Query(queries[i], options)))
         << queries[i];
   }
-  Metrics after_first = service.metrics();
-  EXPECT_EQ(after_first.cache.misses, 5u);  // distinct queries only
+  EXPECT_EQ(service.metrics().cache.misses, 5u);  // distinct queries only
 
   // Re-running the batch is pure hits — no new computes.
-  std::vector<ResultPtr> again = service.QueryBatch(queries, options);
+  std::vector<api::QueryResponse> again = SubmitAndWait(service, requests);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(again[i].get(), batch[i].get()) << queries[i];
+    EXPECT_TRUE(again[i].stats.cache_hit) << queries[i];
+    EXPECT_EQ(again[i].results.get(), batch[i].results.get()) << queries[i];
   }
   EXPECT_EQ(service.metrics().cache.misses, 5u);
 }
@@ -252,35 +318,32 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
 TEST(QueryServiceEpoch, RebindAfterRebuildNeverServesStaleResults) {
   ScoredDblp f(SmallDblpConfig());
 
-  // Engine #1 registers only Author; its context misses paper subjects.
-  search::SizeLSearchEngine engine1(f.d.db, &f.backend);
-  engine1.RegisterSubject(f.d.author, datasets::DblpAuthorGds(f.d));
-  engine1.BuildIndex();
+  // Context #1 registers only Author; it misses paper subjects.
+  std::vector<search::SearchContext::Subject> authors;
+  authors.push_back({f.d.author, datasets::DblpAuthorGds(f.d)});
+  search::SearchContext ctx1 =
+      search::SearchContext::Build(f.d.db, &f.backend, std::move(authors));
 
-  QueryService service(engine1.context(), SmallService());
+  QueryService service(ctx1, SmallService());
   search::QueryOptions options;
   options.l = 8;
   options.max_results = 6;
 
-  ResultPtr stale = service.Query("databases", options);
-  std::string stale_bytes = DeterministicResultText(stale->results);
+  std::string stale_bytes = DeterministicResultText(
+      service.Execute(Req("databases", options)).result_list());
 
-  // The context is rebuilt richer (Author + Paper) in a fresh engine —
-  // the old engine would throw on re-registration (see search_test).
-  search::SizeLSearchEngine engine2(f.d.db, &f.backend);
-  engine2.RegisterSubject(f.d.author, datasets::DblpAuthorGds(f.d));
-  engine2.RegisterSubject(f.d.paper, datasets::DblpPaperGds(f.d));
-  engine2.BuildIndex();
+  // The context is rebuilt richer (Author + Paper) as a fresh context.
+  search::SearchContext ctx2 = BuildDblpContext(f.d, &f.backend);
 
-  service.RebindContext(engine2.context());
-  EXPECT_EQ(&service.context(), &engine2.context());
+  service.RebindContext(ctx2);
+  EXPECT_EQ(&service.context(), &ctx2);
   EXPECT_EQ(service.metrics().cache.epoch, 1u);
   EXPECT_EQ(service.metrics().cache.entries, 0u);
 
-  ResultPtr fresh = service.Query("databases", options);
-  std::string fresh_bytes = DeterministicResultText(fresh->results);
-  EXPECT_EQ(fresh_bytes, DeterministicResultText(
-                             engine2.context().Query("databases", options)));
+  std::string fresh_bytes = DeterministicResultText(
+      service.Execute(Req("databases", options)).result_list());
+  EXPECT_EQ(fresh_bytes,
+            DeterministicResultText(ctx2.Query("databases", options)));
   // The richer context genuinely changes the answer, so serving the old
   // entry would have been observable — and did not happen.
   EXPECT_NE(fresh_bytes, stale_bytes);
@@ -301,7 +364,7 @@ TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
   options.l = 8;
 
   // Warm the bound context's memo through the service.
-  service.Query("databases", options);
+  service.Execute(Req("databases", options));
   Metrics before = service.metrics();
   EXPECT_GT(before.partials.inserts, 0u);
   EXPECT_GT(before.partials.entries, 0u);
@@ -322,9 +385,9 @@ TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
   EXPECT_EQ(after.partials.epoch, 1u);
 
   // Post-rebind queries recompute from scratch with unchanged answers.
-  ResultPtr fresh = service.Query("databases", options);
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(DeterministicResultText(fresh->results),
+  api::QueryResponse fresh = service.Execute(Req("databases", options));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(DeterministicResultText(fresh.result_list()),
             DeterministicResultText(new_ctx.Query("databases", options)));
   EXPECT_GT(service.metrics().partials.misses, after.partials.misses);
 }
@@ -344,13 +407,13 @@ TEST(QueryServiceEpoch, PartialsOptionConfiguresEveryBoundContext) {
   search::QueryOptions options;
   options.l = 8;
 
-  service.Query("databases", options);
+  service.Execute(Req("databases", options));
   EXPECT_EQ(service.metrics().partials.inserts, 0u);
   EXPECT_FALSE(ctx1.partials_memo().enabled());
 
   service.RebindContext(ctx2);
   EXPECT_FALSE(ctx2.partials_memo().enabled());
-  service.Query("databases", options);
+  service.Execute(Req("databases", options));
   EXPECT_EQ(service.metrics().partials.inserts, 0u);
 }
 
@@ -369,7 +432,10 @@ TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
   options.l = 8;
 
   gated.CloseGate();
-  std::future<ResultPtr> inflight = service.SubmitAsync("databases", options);
+  BatchCollector inflight(1);
+  std::vector<api::QueryRequest> requests;
+  requests.push_back(Req("databases", options));
+  service.SubmitBatch(std::move(requests), {}, inflight.Sink());
   gated.WaitUntilBlocked();  // the miss has pinned old_ctx and is computing
 
   std::atomic<bool> rebound{false};
@@ -384,24 +450,24 @@ TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
   gated.OpenGate();
   rebinder.join();
   EXPECT_TRUE(rebound.load());
-  // The query drained before RebindContext returned, so its future is
-  // already satisfied and destroying the old context now is safe (the
-  // sanitizer lanes would flag a use-after-free here otherwise).
-  ResultPtr r = inflight.get();
-  ASSERT_NE(r, nullptr);
+  // The query's compute drained before RebindContext returned, so
+  // destroying the old context now is safe (the sanitizer lanes would flag
+  // a use-after-free here otherwise).
   old_ctx.reset();
+  inflight.Wait();
+  EXPECT_TRUE(inflight.response(0).ok());
 
   EXPECT_EQ(&service.context(), &new_ctx);
-  ResultPtr fresh = service.Query("databases", options);
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(DeterministicResultText(fresh->results),
+  api::QueryResponse fresh = service.Execute(Req("databases", options));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(DeterministicResultText(fresh.result_list()),
             DeterministicResultText(new_ctx.Query("databases", options)));
 }
 
-// A throwing miss inside the batch fan-out must surface on the calling
-// thread (ParallelFor tasks themselves must not throw — an escaped
-// exception would terminate the process), and must not poison the service.
-TEST(QueryServiceBatch, MissExceptionRethrownOnCallingThread) {
+// A failing miss inside the batch fan-out becomes that request's
+// kBackendError (a pool task must not throw — an escaped exception would
+// terminate the process), leaves its neighbours alone, and caches nothing.
+TEST(QueryServiceBatch, MissFailuresBecomePerRequestStatuses) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
@@ -410,36 +476,40 @@ TEST(QueryServiceBatch, MissExceptionRethrownOnCallingThread) {
   options.l = 8;
 
   // Warm one key so the failing batch mixes cache hits with bad misses.
-  ResultPtr warm = service.Query("faloutsos", options);
-  ASSERT_NE(warm, nullptr);
+  api::QueryResponse warm = service.Execute(Req("faloutsos", options));
+  ASSERT_TRUE(warm.ok());
 
   gated.FailJoins(true);
-  std::vector<std::string> queries = {"faloutsos", "databases", "mining"};
-  EXPECT_THROW(service.QueryBatch(queries, options), std::runtime_error);
-
-  // Submit's contrasting convention: no future to carry the exception, so
-  // the callback receives nullptr instead.
-  std::promise<ResultPtr> delivered;
-  service.Submit("power law", options,
-                 [&](ResultPtr r) { delivered.set_value(std::move(r)); });
-  EXPECT_EQ(delivered.get_future().get(), nullptr);
+  std::vector<api::QueryRequest> requests;
+  for (const char* q : {"faloutsos", "databases", "mining"}) {
+    requests.push_back(Req(q, options));
+  }
+  std::vector<api::QueryResponse> failed = SubmitAndWait(service, requests);
+  EXPECT_TRUE(failed[0].stats.cache_hit);
+  EXPECT_EQ(failed[0].results.get(), warm.results.get());
+  for (size_t i : {1u, 2u}) {
+    EXPECT_EQ(failed[i].status.code(), api::StatusCode::kBackendError) << i;
+    EXPECT_TRUE(failed[i].result_list().empty()) << i;
+  }
 
   // Failures cached nothing: once joins heal, the same batch succeeds and
   // still reuses the pre-failure entry.
   gated.FailJoins(false);
-  std::vector<ResultPtr> batch = service.QueryBatch(queries, options);
-  ASSERT_EQ(batch.size(), queries.size());
-  EXPECT_EQ(batch[0].get(), warm.get());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_NE(batch[i], nullptr) << queries[i];
-    EXPECT_EQ(DeterministicResultText(batch[i]->results),
-              DeterministicResultText(ctx.Query(queries[i], options)))
-        << queries[i];
+  std::vector<api::QueryResponse> batch = SubmitAndWait(service, requests);
+  ASSERT_EQ(batch.size(), requests.size());
+  EXPECT_EQ(batch[0].results.get(), warm.results.get());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << i;
+    EXPECT_EQ(batch[i].stats.cache_hit, i == 0) << i;
+    EXPECT_EQ(DeterministicResultText(batch[i].result_list()),
+              DeterministicResultText(
+                  ctx.Query(requests[i].keywords(), options)))
+        << i;
   }
 }
 
 // The request/response surface: Execute must agree byte-for-byte with the
-// legacy paths, share their cache, and report the cache outcome in stats.
+// uncached compute primitive and report the cache outcome in stats.
 TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
@@ -463,11 +533,6 @@ TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   EXPECT_TRUE(second.stats.cache_hit);
   // A hit shares the same immutable list, zero-copy.
   EXPECT_EQ(second.results.get(), first.results.get());
-
-  // The typed and legacy paths ride one cache: the legacy pointer wraps
-  // the very list the response aliases.
-  ResultPtr legacy = service.Query("faloutsos", options);
-  EXPECT_EQ(&legacy->results, second.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 1u);
 }
 
@@ -521,9 +586,10 @@ TEST(QueryServiceApi, InvalidAndFailingRequestsBecomeStatuses) {
   EXPECT_TRUE(none.result_list().empty());
 }
 
-// The async-batch acceptance contract: SubmitBatchAsync returns while its
-// misses are still computing — the submitting thread never blocks.
-TEST(QueryServiceApi, SubmitBatchAsyncNeverBlocksTheSubmitter) {
+// The async-batch acceptance contract: SubmitBatch returns while its
+// misses are still computing — the submitting thread never blocks — and
+// answers hits and invalid requests inline.
+TEST(QueryServiceApi, SubmitBatchNeverBlocksTheSubmitter) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
@@ -531,50 +597,47 @@ TEST(QueryServiceApi, SubmitBatchAsyncNeverBlocksTheSubmitter) {
   search::QueryOptions options;
   options.l = 8;
 
-  // Warm one key so the batch mixes a ready hit with gated misses.
-  ResultPtr warm = service.Query("faloutsos", options);
-  ASSERT_NE(warm, nullptr);
+  // Warm one key so the batch mixes an inline hit with gated misses.
+  api::QueryResponse warm = service.Execute(Req("faloutsos", options));
+  ASSERT_TRUE(warm.ok());
 
   gated.CloseGate();
   std::vector<api::QueryRequest> requests;
   for (const char* q : {"faloutsos", "databases", "", "mining"}) {
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
+    requests.push_back(Req(q, options));
   }
-  std::vector<std::future<api::QueryResponse>> futures =
-      service.SubmitBatchAsync(std::move(requests));
+  BatchCollector collector(requests.size());
+  service.SubmitBatch(std::move(requests), {}, collector.Sink());
   // Submission returned while every miss is parked on the closed gate.
-  ASSERT_EQ(futures.size(), 4u);
   gated.WaitUntilBlocked();
-  // The hit and the invalid request resolved at submission time; the
-  // gated miss cannot be ready.
-  EXPECT_EQ(futures[0].wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(futures[2].wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_NE(futures[1].wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
+  // The hit and the invalid request were answered at submission time; the
+  // gated miss cannot have been.
+  EXPECT_EQ(collector.answered(0), 1);
+  EXPECT_EQ(collector.answered(2), 1);
+  EXPECT_EQ(collector.answered(1), 0);
 
   gated.OpenGate();
-  api::QueryResponse hit = futures[0].get();
+  collector.Wait();
+  const api::QueryResponse& hit = collector.response(0);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit.stats.cache_hit);
-  EXPECT_EQ(hit.results.get(), &warm->results);  // zero-copy alias
-  EXPECT_EQ(futures[2].get().status.code(),
+  EXPECT_EQ(hit.results.get(), warm.results.get());  // zero-copy alias
+  EXPECT_EQ(collector.response(2).status.code(),
             api::StatusCode::kInvalidArgument);
-  api::QueryResponse miss = futures[1].get();
+  const api::QueryResponse& miss = collector.response(1);
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss.stats.cache_hit);
   EXPECT_EQ(DeterministicResultText(miss.result_list()),
             DeterministicResultText(ctx.Query("databases", options)));
-  ASSERT_TRUE(futures[3].get().ok());
+  EXPECT_TRUE(collector.response(3).ok());
 }
 
-// Destruction-order regression: futures from SubmitBatchAsync may outlive
-// the QueryService. The destructor must block until in-flight misses
-// finish (pool_ is the last member, so it drains while cache/context are
-// still alive), and the futures stay valid afterwards — their shared state
-// is heap-owned, not service-owned. ASan/TSan turn any violation into a
-// hard failure here.
+// Destruction-order regression: answers may be awaited after the
+// QueryService is gone. The destructor must block until in-flight misses
+// finish and deliver their callbacks (pool_ is the last member, so it
+// drains while cache/context are still alive); the test-side futures fed
+// by those callbacks stay valid afterwards. ASan/TSan turn any violation
+// into a hard failure here.
 TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
@@ -586,10 +649,15 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   gated.CloseGate();
   std::vector<api::QueryRequest> requests;
   for (const char* q : {"databases", "mining"}) {
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
+    requests.push_back(Req(q, options));
   }
-  std::vector<std::future<api::QueryResponse>> futures =
-      service->SubmitBatchAsync(std::move(requests));
+  std::vector<std::promise<api::QueryResponse>> promises(requests.size());
+  std::vector<std::future<api::QueryResponse>> futures;
+  for (auto& promise : promises) futures.push_back(promise.get_future());
+  service->SubmitBatch(std::move(requests), {},
+                       [&promises](size_t i, api::QueryResponse response) {
+                         promises[i].set_value(std::move(response));
+                       });
   gated.WaitUntilBlocked();
 
   // Tear the service down while both misses are parked on the gate.
@@ -615,9 +683,9 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   }
 }
 
-// The callback twin of SubmitBatchAsync (the TCP front end's entry point):
-// every request is answered exactly once, hits and invalids inline,
-// misses on the pool.
+// The TCP front end's entry point: every request is answered exactly
+// once, hits and invalids inline, misses on the pool, duplicates
+// coalesced onto one computation.
 TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
@@ -625,39 +693,21 @@ TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   search::QueryOptions options;
   options.l = 8;
 
-  ResultPtr warm = service.Query("faloutsos", options);
-  ASSERT_NE(warm, nullptr);
+  api::QueryResponse warm = service.Execute(Req("faloutsos", options));
+  ASSERT_TRUE(warm.ok());
 
   std::vector<api::QueryRequest> requests;
   for (const char* q : {"faloutsos", "databases", "", "databases"}) {
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
+    requests.push_back(Req(q, options));
   }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<int> answered(requests.size(), 0);
-  std::vector<api::QueryResponse> responses(requests.size());
-  service.SubmitBatch(std::move(requests),
-                      [&](size_t i, api::QueryResponse response) {
-                        std::lock_guard<std::mutex> lock(mu);
-                        ++answered[i];
-                        responses[i] = std::move(response);
-                        cv.notify_all();
-                      });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30), [&] {
-      for (int count : answered) {
-        if (count == 0) return false;
-      }
-      return true;
-    }));
-  }
-  for (int count : answered) {
-    EXPECT_EQ(count, 1);
-  }
+  BatchCollector collector(requests.size());
+  service.SubmitBatch(std::move(requests), {}, collector.Sink());
+  collector.Wait();
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(collector.answered(i), 1) << i;
+  std::vector<api::QueryResponse> responses = collector.TakeResponses();
   EXPECT_TRUE(responses[0].ok());
   EXPECT_TRUE(responses[0].stats.cache_hit);
-  EXPECT_EQ(responses[0].results.get(), &warm->results);
+  EXPECT_EQ(responses[0].results.get(), warm.results.get());
   EXPECT_TRUE(responses[1].ok());
   EXPECT_EQ(responses[2].status.code(), api::StatusCode::kInvalidArgument);
   EXPECT_TRUE(responses[3].ok());
@@ -666,60 +716,11 @@ TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   EXPECT_EQ(service.metrics().cache.misses, 2u);  // warm + "databases"
 }
 
-// ExecuteBatch (the blocking layer over SubmitBatchAsync) must stay
-// byte-identical to serial execution and cache-aware across runs.
-TEST(QueryServiceApi, ExecuteBatchMatchesSerialAndStaysCacheAware) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  QueryService service(ctx, SmallService());
-  search::QueryOptions options;
-  options.l = 9;
-  options.max_results = 3;
-
-  std::vector<std::string> queries = {"faloutsos", "databases", "faloutsos",
-                                      "nosuchkeywordanywhere"};
-  std::vector<api::QueryRequest> requests;
-  for (const std::string& q : queries) {
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
-  }
-  std::vector<api::QueryResponse> batch = service.ExecuteBatch(requests);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok()) << queries[i];
-    EXPECT_EQ(DeterministicResultText(batch[i].result_list()),
-              DeterministicResultText(ctx.Query(queries[i], options)))
-        << queries[i];
-  }
-  EXPECT_EQ(service.metrics().cache.misses, 3u);  // distinct queries only
-
-  // Re-running is pure hits on the same immutable lists.
-  std::vector<api::QueryResponse> again = service.ExecuteBatch(requests);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(again[i].stats.cache_hit) << queries[i];
-    EXPECT_EQ(again[i].results.get(), batch[i].results.get()) << queries[i];
-  }
-  EXPECT_EQ(service.metrics().cache.misses, 3u);
-}
-
-TEST(QueryServiceApi, SubmitAsyncRequestAgreesWithExecute) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  QueryService service(ctx, SmallService());
-  api::QueryRequest request = api::QueryRequest("databases").WithL(8);
-
-  api::QueryResponse from_future = service.SubmitAsync(request).get();
-  ASSERT_TRUE(from_future.ok());
-  api::QueryResponse direct = service.Execute(request);
-  EXPECT_TRUE(direct.stats.cache_hit);  // one compute total
-  EXPECT_EQ(from_future.results.get(), direct.results.get());
-  EXPECT_EQ(service.metrics().cache.misses, 1u);
-}
-
 TEST(QueryServiceMetrics, LatencyReservoirsPopulate) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  for (int i = 0; i < 3; ++i) service.Query("faloutsos");
+  for (int i = 0; i < 3; ++i) service.Execute(Req("faloutsos"));
   Metrics m = service.metrics();
   EXPECT_EQ(m.queries, 3u);
   EXPECT_EQ(m.latency_us.count(), 3u);
@@ -820,12 +821,15 @@ TEST(QueryServicePolicy, ExpiryRecomputesOnceAndRebindBeatsTtl) {
   // the other callers are provably concurrent — still one compute.
   clock->AdvanceMicros(900);
   gated.CloseGate();
-  std::vector<std::future<api::QueryResponse>> inflight;
-  for (int i = 0; i < 3; ++i) inflight.push_back(service.SubmitAsync(pos));
+  std::vector<api::QueryResponse> answers(3);
+  std::vector<std::thread> callers;
+  for (api::QueryResponse& answer : answers) {
+    callers.emplace_back([&] { answer = service.Execute(pos); });
+  }
   gated.WaitUntilBlocked();
   gated.OpenGate();
-  for (auto& fut : inflight) {
-    api::QueryResponse r = fut.get();
+  for (std::thread& t : callers) t.join();
+  for (const api::QueryResponse& r : answers) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(DeterministicResultText(r.result_list()),
               DeterministicResultText(ctx.Query("databases", options)));
@@ -865,44 +869,6 @@ TEST(QueryServicePolicy, SweepExpiredCacheDropsOnlyExpiredEntries) {
   EXPECT_EQ(service.metrics().cache.entries, 0u);
 }
 
-/// Collects SubmitBatch callbacks and blocks until all have fired.
-class BatchCollector {
- public:
-  explicit BatchCollector(size_t n) : answered_(n, 0), responses_(n) {}
-
-  std::function<void(size_t, api::QueryResponse)> Sink() {
-    return [this](size_t i, api::QueryResponse response) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++answered_[i];
-      responses_[i] = std::move(response);
-      cv_.notify_all();
-    };
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    ASSERT_TRUE(cv_.wait_for(lock, std::chrono::seconds(30), [&] {
-      for (int count : answered_) {
-        if (count == 0) return false;
-      }
-      return true;
-    }));
-  }
-  const api::QueryResponse& response(size_t i) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return responses_[i];
-  }
-  int answered(size_t i) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return answered_[i];
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<int> answered_;
-  std::vector<api::QueryResponse> responses_;
-};
-
 // A request whose budget is already spent on arrival is answered
 // kDeadlineExceeded before the service spends anything on it — no cache
 // lookup, no backend I/O — even when a cached answer exists. ("No time is
@@ -919,8 +885,7 @@ TEST(QueryServiceOverload, ExpiredAtAdmissionShedsWithoutBackendWork) {
   options.l = 8;
 
   // Warm the key so "shed beats a ready cache hit" is what gets proven.
-  ResultPtr warm = service.Query("databases", options);
-  ASSERT_NE(warm, nullptr);
+  ASSERT_TRUE(service.Execute(Req("databases", options)).ok());
   uint64_t fetches_after_warm = counting.fetches();
   uint64_t hits_after_warm = service.metrics().cache.hits;
 
@@ -1050,9 +1015,7 @@ TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
 
 // A miss whose budget expires while queued behind a busy pool is answered
 // kDeadlineExceeded when dequeued, before compute: zero backend I/O for
-// the expired request, counted as a dequeue shed. Also exercises the
-// relative-budget SubmitBatch overload (the deadline here comes from
-// request.deadline_micros, stamped against the service clock at entry).
+// the expired request, counted as a dequeue shed.
 TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
@@ -1072,20 +1035,19 @@ TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   BatchCollector blocker(1);
   {
     std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest("faloutsos").WithOptions(options));
-    service.SubmitBatch(std::move(requests), blocker.Sink());
+    requests.push_back(Req("faloutsos", options));
+    service.SubmitBatch(std::move(requests), {}, blocker.Sink());
   }
   gated.WaitUntilBlocked();
 
-  // Queue a miss with a 1ms budget via the RELATIVE overload, then burn
-  // the budget while it waits behind the parked worker.
+  // Queue a miss with a 1ms budget, then burn the budget while it waits
+  // behind the parked worker.
   BatchCollector doomed(1);
   {
     std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest("databases")
-                           .WithOptions(options)
-                           .WithDeadlineMicros(1'000));
-    service.SubmitBatch(std::move(requests), doomed.Sink());
+    requests.push_back(Req("databases", options));
+    service.SubmitBatch(std::move(requests), {clock->NowMicros() + 1'000},
+                        doomed.Sink());
   }
   clock->AdvanceMicros(2'000);
   gated.OpenGate();
@@ -1162,8 +1124,8 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
 }
 
 // TSan canary for the full serving stack: many driver threads hammer one
-// service (sync + async + batch, overlapping keys) while the pool computes
-// misses. Verifies every answer against precomputed goldens.
+// service (sync Execute + async SubmitBatch, overlapping keys) while the
+// pool computes misses. Verifies every answer against precomputed goldens.
 TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   ScoredDblp f(SmallDblpConfig());
   core::DatabaseBackend backend(f.d.db, f.d.links, /*per_select_micros=*/0.0);
@@ -1187,12 +1149,7 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   }
 
   std::atomic<int> mismatches{0};
-  auto check = [&](size_t qi, const ResultPtr& r) {
-    if (r == nullptr || DeterministicResultText(r->results) != golden[qi]) {
-      mismatches.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  auto check_response = [&](size_t qi, const api::QueryResponse& r) {
+  auto check = [&](size_t qi, const api::QueryResponse& r) {
     if (!r.ok() || DeterministicResultText(r.result_list()) != golden[qi]) {
       mismatches.fetch_add(1, std::memory_order_relaxed);
     }
@@ -1200,29 +1157,25 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
 
   constexpr size_t kDrivers = 4;
   constexpr int kRounds = 6;
+  constexpr size_t kBatch = 3;
   std::vector<std::thread> drivers;
   drivers.reserve(kDrivers);
   for (size_t w = 0; w < kDrivers; ++w) {
     drivers.emplace_back([&, w] {
       for (int round = 0; round < kRounds; ++round) {
         size_t qi = (round + w) % mix.size();
-        check(qi, service.Query(mix[qi], options));
-        auto fut = service.SubmitAsync(mix[(qi + 1) % mix.size()], options);
-        check((qi + 1) % mix.size(), fut.get());
-        // The typed surface shares the same cache and pool: one Execute
-        // and a two-request async batch per round.
-        size_t ei = (qi + 2) % mix.size();
-        check_response(
-            ei, service.Execute(api::QueryRequest(mix[ei]).WithOptions(
-                    options)));
+        // One sync Execute and a three-request async batch per round, on
+        // the same cache and pool.
+        check(qi, service.Execute(Req(mix[qi], options)));
         std::vector<api::QueryRequest> batch;
-        batch.push_back(api::QueryRequest(mix[qi]).WithOptions(options));
-        batch.push_back(
-            api::QueryRequest(mix[(qi + 3) % mix.size()]).WithOptions(
-                options));
-        auto futures = service.SubmitBatchAsync(std::move(batch));
-        check_response(qi, futures[0].get());
-        check_response((qi + 3) % mix.size(), futures[1].get());
+        for (size_t k = 1; k <= kBatch; ++k) {
+          batch.push_back(Req(mix[(qi + k) % mix.size()], options));
+        }
+        std::vector<api::QueryResponse> answers =
+            SubmitAndWait(service, std::move(batch));
+        for (size_t k = 1; k <= kBatch; ++k) {
+          check((qi + k) % mix.size(), answers[k - 1]);
+        }
         if (w == 0 && round == kRounds / 2) service.ClearCache();
       }
     });
@@ -1230,10 +1183,8 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   for (std::thread& t : drivers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   Metrics m = service.metrics();
-  // 5 recorded queries per round: legacy sync + legacy async + Execute +
-  // the 2-request async batch.
   EXPECT_EQ(m.queries,
-            static_cast<uint64_t>(kDrivers) * kRounds * 5);
+            static_cast<uint64_t>(kDrivers) * kRounds * (1 + kBatch));
   EXPECT_EQ(m.cache.hits + m.cache.misses + m.cache.coalesced_waits,
             m.queries);
 }
