@@ -36,7 +36,7 @@ osum::core::SizeLAlgorithm ParseAlgorithm(const char* name) {
 
 void RunQuery(const osum::search::SearchContext& ctx,
               const std::string& keywords,
-              const osum::search::QueryOptions& options) {
+              const osum::api::QueryOptions& options) {
   osum::util::WallTimer timer;
   auto results = ctx.Query(keywords, options);
   double ms = timer.ElapsedMillis();
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   search::SearchContext ctx =
       search::SearchContext::Build(dblp.db, &backend, std::move(subjects));
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 15;
   options.max_results = 3;
 

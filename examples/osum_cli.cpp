@@ -17,16 +17,16 @@
 //                              (negative answers flagged "neg") and the
 //                              observed latency (repeat a query to watch
 //                              the result cache kick in)
-//   policy [ttl=<s>] [neg_ttl=<s>] [admission=on|off] [window=<s>]
-//                              show or set the cache policy (TTLs in
-//                              seconds; 0 = never expire). Setting any
-//                              knob restarts the serving layer with a
-//                              fresh cache.
-//   sweep                      erase expired cache entries now (the sweep
-//                              half of lazy-plus-sweep expiry)
+//   policy [admission=on|off] [window=<s>]
+//                              show or set the cache admission policy
+//                              (the doorkeeper caches a key on its second
+//                              sighting within the window, in seconds;
+//                              0 = no time limit). Setting any knob
+//                              restarts the serving layer with a fresh
+//                              cache.
 //   metrics                    serving-layer snapshot: hit/miss counters
-//                              (negative hits split out), admission/TTL
-//                              policy counters, cache occupancy, latency
+//                              (negative hits split out), admission
+//                              counters, cache occupancy, latency
 //                              percentiles
 //   serve-tcp [port|stop]      start the TCP front end on 127.0.0.1 (port
 //                              0 = OS-assigned, printed on start) over the
@@ -155,10 +155,9 @@ void PrintHelp() {
       "  budget <keywords...> <w>   word-budget summary (~w words)\n"
       "  serve <keywords...> [l]    query via the serving layer (HIT/MISS +\n"
       "                             latency; repeat to watch the cache)\n"
-      "  policy [ttl=<s>] [neg_ttl=<s>] [admission=on|off] [window=<s>]\n"
-      "                             show or set the cache policy (restarts\n"
-      "                             the serving layer when set)\n"
-      "  sweep                      erase expired cache entries now\n"
+      "  policy [admission=on|off] [window=<s>]\n"
+      "                             show or set the cache admission policy\n"
+      "                             (restarts the serving layer when set)\n"
       "  metrics                    serving-layer counters + latencies\n"
       "  serve-tcp [port|stop]      start/stop the TCP front end (graceful\n"
       "                             drain on stop)\n"
@@ -307,11 +306,7 @@ void RunCommand(Session& session, const std::string& line) {
           bad = true;
         }
       };
-      if (k == "ttl") {
-        seconds_to_micros(&staged.ttl_micros);
-      } else if (k == "neg_ttl") {
-        seconds_to_micros(&staged.negative_ttl_micros);
-      } else if (k == "window") {
+      if (k == "window") {
         seconds_to_micros(&staged.admission_window_micros);
       } else if (k == "admission" && (v == "on" || v == "off")) {
         staged.admission_enabled = v == "on";
@@ -321,9 +316,7 @@ void RunCommand(Session& session, const std::string& line) {
       }
     }
     if (bad) {
-      std::puts(
-          "usage: policy [ttl=<s>] [neg_ttl=<s>] [admission=on|off] "
-          "[window=<s>]");
+      std::puts("usage: policy [admission=on|off] [window=<s>]");
       return;
     }
     serve::CachePolicyOptions& p = session.serve_options.cache.policy;
@@ -332,21 +325,10 @@ void RunCommand(Session& session, const std::string& line) {
       session.tcp_server.reset();  // serves from the service being replaced
       session.service.reset();     // next `serve` gets the policy
     }
-    std::printf("policy: ttl=%.3fs neg_ttl=%.3fs admission=%s window=%.3fs%s\n",
-                static_cast<double>(p.ttl_micros) / 1e6,
-                static_cast<double>(p.negative_ttl_micros) / 1e6,
+    std::printf("policy: admission=%s window=%.3fs%s\n",
                 p.admission_enabled ? "on" : "off",
                 static_cast<double>(p.admission_window_micros) / 1e6,
                 changed ? " (serving layer restarted)" : "");
-    return;
-  }
-  if (cmd == "sweep") {
-    if (session.service == nullptr) {
-      std::puts("serving layer idle; run 'serve <keywords>' first");
-      return;
-    }
-    std::printf("swept %zu expired entr(ies)\n",
-                session.service->SweepExpiredCache());
     return;
   }
   if (cmd == "query" || cmd == "json" || cmd == "budget") {
@@ -557,8 +539,9 @@ int main(int argc, char** argv) {
   for (const char* cmd :
        {"build dblp", "stats", "gds Author", "query faloutsos 8",
         "budget faloutsos 40", "serve faloutsos 8", "serve faloutsos 8",
-        "query --wire json faloutsos 5", "policy neg_ttl=60",
-        "serve nosuchkeyword 8", "serve nosuchkeyword 8", "serve-tcp 0",
+        "query --wire json faloutsos 5", "policy admission=on",
+        "serve nosuchkeyword 8", "serve nosuchkeyword 8",
+        "serve nosuchkeyword 8", "serve-tcp 0",
         "connect faloutsos 8", "connect deadline=60000000 faloutsos 8",
         "serve-tcp stop",
         "metrics"}) {

@@ -8,8 +8,9 @@
 #      vs pool workers) race on nothing; runs the search-, serve- and
 #      net-labeled suites, which include the concurrency/stampede stress
 #      aggregates (labeled search;slow / serve;slow).
-# The release lane also smokes the bench `--json` output mode (bench_cache
-# runs at --tiny sizes and its JSON must parse; the bench itself exits
+# The release lane also compiles the end-to-end benchmark (osum_e2e) and
+# smokes the bench `--json` output mode (bench_cache runs at --tiny sizes
+# and its JSON must parse; the bench itself exits
 # nonzero if the >=10x hot-hit speedup gate fails or the long-tail
 # admission gate fails), diffs that run against the checked-in baseline as
 # a NON-FATAL report (scripts/bench_diff.py — tiny-vs-reference numbers
@@ -102,6 +103,14 @@ run_config() {
 }
 
 run_config build-release -- -DCMAKE_BUILD_TYPE=Release
+
+# The end-to-end benchmark (e2ebench/) is a CMake project of its own on top
+# of the layer libraries, so the Release build above never compiles it.
+# Build it here: a library change that breaks the benchmark's build then
+# fails this lane instead of the benchmark run.
+echo "==== e2e benchmark build (osum_e2e) ===="
+cmake -S e2ebench -B build-e2e -DCMAKE_BUILD_TYPE=Release
+cmake --build build-e2e -j "${JOBS}" --target osum_e2e
 
 # Bench JSON smoke: tiny sizes, but the output must be well-formed JSON
 # (python parses it strictly) and the bench's own speedup gate must pass —

@@ -52,11 +52,6 @@ class DataGraph {
   std::span<const NodeId> Neighbors(NodeId n, LinkTypeId lt,
                                     rel::FkDirection dir) const;
 
-  /// Out-degree of `n` along (lt, dir); 0 if n is not on the source side.
-  size_t Degree(NodeId n, LinkTypeId lt, rel::FkDirection dir) const {
-    return Neighbors(n, lt, dir).size();
-  }
-
   /// Global importance of a node (reads the relation annotation).
   double Importance(const rel::Database& db, NodeId n) const {
     return db.relation(RelationOf(n)).importance(TupleOf(n));

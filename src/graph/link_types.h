@@ -73,11 +73,6 @@ class LinkSchema {
   /// Lookup by name; aborts if absent (used when wiring G_A presets).
   LinkTypeId GetLink(const std::string& name) const;
 
-  /// Endpoint of `lt` on the far side when standing at `from_side_a`.
-  static rel::RelationId OtherEnd(const LinkType& lt, bool from_side_a) {
-    return from_side_a ? lt.b : lt.a;
-  }
-
  private:
   std::vector<LinkType> links_;
   std::vector<std::vector<LinkTypeId>> links_of_;

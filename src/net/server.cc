@@ -333,15 +333,13 @@ void Server::DispatchFrame(Connection* conn, const std::string& payload) {
   }
   ++inflight_requests_;
   const uint64_t id = conn->id;
-  std::vector<api::QueryRequest> batch;
-  batch.push_back(*std::move(decoded));
   // Hits answer inline on this (loop) thread, misses on the pool; every
   // answer funnels through the mailbox back to the loop, which alone
   // touches the connection.
   std::shared_ptr<Mailbox> mailbox = mailbox_;
-  service_->SubmitBatch(
-      std::move(batch), {deadline},
-      [this, id, seq, mailbox](size_t, api::QueryResponse response) {
+  service_->Submit(
+      *std::move(decoded), deadline,
+      [this, id, seq, mailbox](api::QueryResponse response) {
         if (response.status.code() == api::StatusCode::kDeadlineExceeded) {
           stats_.responses_deadline_exceeded.fetch_add(
               1, std::memory_order_relaxed);

@@ -11,9 +11,11 @@
 // max_frame_bytes) closes the connection — there is no way to find the
 // next frame boundary after one.
 //
-// Threading. One event-loop thread owns every connection object;
-// QueryService workers compute responses and hand the encoded bytes back
-// via EventLoop::Post through a mutex-guarded mailbox that Shutdown
+// Threading. One event-loop thread owns every connection object. Each
+// decoded request is one QueryService::Submit call: hits and invalid
+// requests are answered inline on the loop thread, QueryService workers
+// compute misses, and every answer's encoded bytes come back via
+// EventLoop::Post through a mutex-guarded mailbox that Shutdown
 // disconnects first, so a worker can never touch a dying loop.
 //
 // Backpressure. Responses queue per connection in request order. Once the
@@ -209,8 +211,8 @@ class Server {
   void SchedulePump() REQUIRES(loop_role_);
   /// Decodes and dispatches one frame payload for `conn`: malformed
   /// payloads are answered in-band immediately; valid requests get their
-  /// deadline stamped against the service clock and enter the service as
-  /// a single-request batch, counting against the inflight window.
+  /// deadline stamped against the service clock and enter the service
+  /// through QueryService::Submit, counting against the inflight window.
   void DispatchFrame(Connection* conn, const std::string& payload)
       REQUIRES(loop_role_);
   void OnResponseReady(uint64_t id, uint64_t seq, std::string framed)

@@ -16,7 +16,6 @@ RelationId Database::AddRelation(std::string name, Schema schema,
                                                   std::move(schema),
                                                   is_junction));
   fks_of_child_.emplace_back();
-  fks_of_parent_.emplace_back();
   return id;
 }
 
@@ -29,7 +28,6 @@ ForeignKeyId Database::AddForeignKey(std::string name, RelationId child,
   ForeignKeyId id = static_cast<ForeignKeyId>(fks_.size());
   fks_.push_back(ForeignKey{id, std::move(name), child, child_col, parent});
   fks_of_child_[child].push_back(id);
-  fks_of_parent_[parent].push_back(id);
   return id;
 }
 

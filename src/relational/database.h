@@ -71,12 +71,9 @@ class Database {
   const ForeignKey& foreign_key(ForeignKeyId id) const { return fks_[id]; }
   const std::vector<ForeignKey>& foreign_keys() const { return fks_; }
 
-  /// Foreign keys incident to a relation (as child or as parent).
+  /// Foreign keys whose child side is relation `r`.
   const std::vector<ForeignKeyId>& FksOfChild(RelationId r) const {
     return fks_of_child_[r];
-  }
-  const std::vector<ForeignKeyId>& FksOfParent(RelationId r) const {
-    return fks_of_parent_[r];
   }
 
   /// Total number of tuples across all relations.
@@ -131,7 +128,6 @@ class Database {
   std::unordered_map<std::string, RelationId> relations_by_name_;
   std::vector<ForeignKey> fks_;
   std::vector<std::vector<ForeignKeyId>> fks_of_child_;
-  std::vector<std::vector<ForeignKeyId>> fks_of_parent_;
   std::vector<JoinIndex> indexes_;
   bool indexes_built_ = false;
   bool indexes_sorted_ = false;

@@ -16,10 +16,10 @@ namespace {
 // The partials-memo key: exactly what determines the per-subject OS +
 // selection — the subject identity, l (which also drives the generator's
 // depth limit), and, when a selection actually runs (l > 0), the prelim
-// mode and algorithm. Deliberately NOT QueryOptions::CacheKeyFragment():
+// mode and algorithm. Deliberately NOT api::QueryOptions::CacheKeyFragment():
 // max_results and ranking rank *across* subjects and must not split the
 // memo, or overlapping-keyword queries would stop sharing work.
-std::string PartialsKey(const Hit& hit, const QueryOptions& options) {
+std::string PartialsKey(const Hit& hit, const api::QueryOptions& options) {
   std::string key;
   key.reserve(32);
   key += 'r';
@@ -78,8 +78,8 @@ std::vector<SearchContext::Subject> SearchContext::TakeSubjects() && {
   return out;
 }
 
-std::vector<QueryResult> SearchContext::Query(
-    std::string_view keywords, const QueryOptions& options) const {
+std::vector<api::QueryResult> SearchContext::Query(
+    std::string_view keywords, const api::QueryOptions& options) const {
   std::vector<Hit> hits = index_.SearchQuery(keywords);
 
   // Pre-rank data subjects by global importance. Under subject ranking the
@@ -92,12 +92,12 @@ std::vector<QueryResult> SearchContext::Query(
     if (a.relation != b.relation) return a.relation < b.relation;
     return a.tuple < b.tuple;
   });
-  if (options.ranking == ResultRanking::kSubjectImportance &&
+  if (options.ranking == api::ResultRanking::kSubjectImportance &&
       hits.size() > options.max_results) {
     hits.resize(options.max_results);
   }
 
-  std::vector<QueryResult> results;
+  std::vector<api::QueryResult> results;
   results.reserve(hits.size());
   // One scratch serves every hit of this query: after the first tree the
   // DP tables reuse the same arena blocks (see core::DpScratch).
@@ -106,7 +106,7 @@ std::vector<QueryResult> SearchContext::Query(
   const bool use_memo = memo.enabled();
   for (const Hit& hit : hits) {
     const gds::Gds& gds = subjects_.at(hit.relation);
-    QueryResult r;
+    api::QueryResult r;
     r.subject = hit;
     r.subject_importance = db_->relation(hit.relation).importance(hit.tuple);
 
@@ -155,9 +155,9 @@ std::vector<QueryResult> SearchContext::Query(
     results.push_back(std::move(r));
   }
 
-  if (options.ranking == ResultRanking::kSummaryImportance) {
+  if (options.ranking == api::ResultRanking::kSummaryImportance) {
     std::stable_sort(results.begin(), results.end(),
-                     [](const QueryResult& a, const QueryResult& b) {
+                     [](const api::QueryResult& a, const api::QueryResult& b) {
                        return a.selection.importance > b.selection.importance;
                      });
     if (results.size() > options.max_results) {
@@ -197,7 +197,7 @@ std::vector<api::QueryResponse> SearchContext::ExecuteBatch(
   return responses;
 }
 
-std::string SearchContext::Render(const QueryResult& result) const {
+std::string SearchContext::Render(const api::QueryResult& result) const {
   const gds::Gds& gds = subjects_.at(result.subject.relation);
   return result.os.Render(*db_, gds, &result.selection.nodes);
 }

@@ -12,7 +12,7 @@
 // Build is the only way to make a context (and so the only place subjects
 // are registered). Queries go through one compute path:
 //   - Query — the raw compute primitive (string_view keywords +
-//     QueryOptions, exceptions propagate). The serving layer's cache
+//     api::QueryOptions, exceptions propagate). The serving layer's cache
 //     computes with it.
 //   - Execute — the public api::QueryRequest -> api::QueryResponse
 //     adapter over Query: validation and backend failures come back as
@@ -56,18 +56,6 @@ class ThreadPool;
 }  // namespace osum::util
 
 namespace osum::search {
-
-// The result vocabulary moved to the api layer (it is the wire-encodable
-// public contract; see api/query.h). These aliases keep osum::search
-// spelling working for existing code.
-using QueryResult = api::QueryResult;
-using ResultRanking = api::ResultRanking;
-using QueryOptions = api::QueryOptions;
-
-// A using-declaration, not a wrapper: QueryOptions is api::QueryOptions,
-// so ADL already finds the api function — a second overload would make
-// every unqualified call ambiguous.
-using api::CanonicalQueryKey;
 
 /// The frozen query infrastructure. Build once, share freely.
 class SearchContext {
@@ -116,11 +104,11 @@ class SearchContext {
   /// The raw compute primitive behind Execute: runs one keyword query,
   /// propagating backend exceptions. All per-query state lives on this
   /// call's stack; safe to call concurrently from any number of threads.
-  std::vector<QueryResult> Query(std::string_view keywords,
-                                 const QueryOptions& options = {}) const;
+  std::vector<api::QueryResult> Query(
+      std::string_view keywords, const api::QueryOptions& options = {}) const;
 
   /// Renders one result in the paper's Example 5 format.
-  std::string Render(const QueryResult& result) const;
+  std::string Render(const api::QueryResult& result) const;
 
   const rel::Database& db() const { return *db_; }
   core::OsBackend* backend() const { return backend_; }

@@ -1,11 +1,12 @@
-// Injectable time source for the serving layer's cache policies.
+// Injectable time source for the serving layer.
 //
-// Every time-based behavior in serve (entry TTLs, negative-result TTLs,
-// the admission filter's sliding window) reads the clock through this
-// interface, so tests drive expiry with a FakeClock and zero sleeps: a
+// Every time-based behavior in serve (the admission filter's sliding
+// window, request deadlines and load shedding) reads the clock through
+// this interface, so tests drive it with a FakeClock and zero sleeps: a
 // policy that can only be observed by waiting is a policy that cannot be
 // model-checked. Production uses the process-wide SystemClock (steady,
-// monotonic — wall-clock jumps must not mass-expire a cache).
+// monotonic — wall-clock jumps must not age every sighting or deadline
+// at once).
 #ifndef OSUM_SERVE_CLOCK_H_
 #define OSUM_SERVE_CLOCK_H_
 
@@ -59,9 +60,6 @@ class FakeClock : public Clock {
 
   void AdvanceMicros(uint64_t delta) {
     now_micros_.fetch_add(delta, std::memory_order_acq_rel);
-  }
-  void AdvanceSeconds(uint64_t seconds) {
-    AdvanceMicros(seconds * 1'000'000ull);
   }
 
  private:

@@ -56,11 +56,7 @@ QueryService::QueryService(const search::SearchContext& context,
       binding_(new Binding{&context, 0}),
       cache_(options.cache),
       pool_(options.num_threads == 0 ? util::ThreadPool::HardwareThreads()
-                                     : options.num_threads) {
-  if (options_.partials.has_value()) {
-    context.partials_memo().Configure(*options_.partials);
-  }
-}
+                                     : options.num_threads) {}
 
 bool QueryService::AdmitMiss(uint64_t deadline,
                              std::shared_ptr<MissTicket>* ticket_out) {
@@ -127,42 +123,14 @@ void QueryService::AbandonMiss(const std::shared_ptr<MissTicket>& ticket) {
   --pending_misses_;
 }
 
-api::QueryResponse QueryService::ShedResponse(const char* why) {
+api::QueryResponse QueryService::FailureResponse(api::Status status) const {
   api::QueryStats stats;
   stats.epoch = cache_.epoch();
-  return api::QueryResponse::Failure(api::Status::DeadlineExceeded(why),
-                                     stats);
+  return api::QueryResponse::Failure(std::move(status), stats);
 }
 
-ResultPtr QueryService::ComputeCached(std::string_view keywords,
-                                      const search::QueryOptions& options,
-                                      const std::string& key,
-                                      bool* computed_out) {
-  util::WallTimer timer;
-  bool computed = false;
-  // GetOrCompute runs `compute` inline within this frame, so capturing the
-  // caller's `keywords` view is safe — and keeps the hit path free of the
-  // string copy it would never use.
-  ResultPtr result = cache_.GetOrCompute(key, [&]() -> CachedResult {
-    computed = true;
-    // The context is pinned inside the compute callback, i.e. after
-    // GetOrCompute captured its epoch. Together with RebindContext's
-    // swap-then-bump order this makes a stale (old-context) result under a
-    // current epoch impossible: an old pin implies the bump has not
-    // happened yet, so the entry is wiped by the bump's clear. The pin
-    // also keeps the context destroyable-safe: RebindContext does not
-    // return (and so the caller cannot destroy the old context) until
-    // every pin on it is released.
-    PinnedContext ctx(this);
-    CachedResult out;
-    out.results = ctx->Query(keywords, options);
-    out.approx_bytes = ApproxResultBytes(out.results);
-    return out;
-  });
-  RecordLatency(/*hit=*/!computed, /*negative=*/result->negative(),
-                timer.ElapsedMicros());
-  *computed_out = computed;
-  return result;
+api::QueryResponse QueryService::ShedResponse(const char* why) const {
+  return FailureResponse(api::Status::DeadlineExceeded(why));
 }
 
 api::QueryResponse QueryService::ExecuteWithKey(
@@ -171,15 +139,31 @@ api::QueryResponse QueryService::ExecuteWithKey(
   api::QueryStats stats;
   bool computed = false;
   try {
-    ResultPtr result =
-        ComputeCached(request.keywords(), request.options(), key, &computed);
+    ResultPtr result = cache_.GetOrCompute(key, [&]() -> CachedResult {
+      computed = true;
+      // The context is pinned inside the compute callback, i.e. after
+      // GetOrCompute captured its epoch. Together with RebindContext's
+      // swap-then-bump order this makes a stale (old-context) result under
+      // a current epoch impossible: an old pin implies the bump has not
+      // happened yet, so the entry is wiped by the bump's clear. The pin
+      // also keeps the context destroyable-safe: RebindContext does not
+      // return (and so the caller cannot destroy the old context) until
+      // every pin on it is released.
+      PinnedContext ctx(this);
+      CachedResult out;
+      out.results = ctx->Query(request.keywords(), request.options());
+      out.approx_bytes = ApproxResultBytes(out.results);
+      return out;
+    });
+    stats.compute_micros = timer.ElapsedMicros();
+    RecordQuery(result.get(), /*hit=*/!computed, stats.compute_micros);
     stats.cache_hit = !computed;
     stats.negative = result->negative();
-    stats.compute_micros = timer.ElapsedMicros();
     stats.epoch = cache_.epoch();
     return api::QueryResponse::Success(AliasResults(result), stats);
   } catch (const std::exception& e) {
     stats.compute_micros = timer.ElapsedMicros();
+    RecordQuery(nullptr, /*hit=*/false, stats.compute_micros);
     stats.epoch = cache_.epoch();
     return api::QueryResponse::Failure(api::Status::BackendError(e.what()),
                                        stats);
@@ -188,93 +172,76 @@ api::QueryResponse QueryService::ExecuteWithKey(
 
 api::QueryResponse QueryService::Execute(const api::QueryRequest& request) {
   api::StatusOr<std::string> key = request.ValidatedKey();
-  if (!key.ok()) {
-    api::QueryStats stats;
-    stats.epoch = cache_.epoch();
-    return api::QueryResponse::Failure(key.status(), stats);
-  }
+  if (!key.ok()) return FailureResponse(key.status());
   return ExecuteWithKey(request, *key);
 }
 
-void QueryService::SubmitBatch(
-    std::vector<api::QueryRequest> requests,
-    std::vector<uint64_t> deadlines_micros,
-    std::function<void(size_t, api::QueryResponse)> on_done) {
-  for (size_t i = 0; i < requests.size(); ++i) {
-    api::QueryRequest& request = requests[i];
-    const uint64_t deadline =
-        i < deadlines_micros.size() ? deadlines_micros[i] : 0;
-    util::WallTimer timer;
-    api::StatusOr<std::string> key = request.ValidatedKey();
-    if (!key.ok()) {
-      api::QueryStats stats;
-      stats.epoch = cache_.epoch();
-      on_done(i, api::QueryResponse::Failure(key.status(), stats));
-      continue;
+void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
+                          std::function<void(api::QueryResponse)> on_done) {
+  util::WallTimer timer;
+  api::StatusOr<std::string> key = request.ValidatedKey();
+  if (!key.ok()) {
+    on_done(FailureResponse(key.status()));
+    return;
+  }
+  // Admission budget check, before the cache is even consulted: an
+  // expired request gets kDeadlineExceeded for free — the contract is
+  // "no time is spent on work nobody is waiting for", not "answer if
+  // cheap".
+  if (deadline_micros != 0 && clock_->NowMicros() >= deadline_micros) {
+    {
+      util::MutexLock lock(pending_mu_);
+      ++sheds_at_admission_;
     }
-    // Admission budget check, before the cache is even consulted: an
-    // expired request gets kDeadlineExceeded for free — the contract is
-    // "no time is spent on work nobody is waiting for", not "answer if
-    // cheap".
-    if (deadline != 0 && clock_->NowMicros() >= deadline) {
-      {
-        util::MutexLock lock(pending_mu_);
-        ++sheds_at_admission_;
-      }
-      on_done(i, ShedResponse("deadline expired at admission"));
-      continue;
-    }
-    if (ResultPtr hit = cache_.Lookup(*key)) {
-      double micros = timer.ElapsedMicros();
-      RecordLatency(/*hit=*/true, /*negative=*/hit->negative(), micros);
-      api::QueryStats stats;
-      stats.cache_hit = true;
-      stats.negative = hit->negative();
-      stats.compute_micros = micros;
-      stats.epoch = cache_.epoch();
-      on_done(i, api::QueryResponse::Success(AliasResults(hit), stats));
-      continue;
-    }
-    // Miss: the pending-miss watermark may shed this request now (it has
-    // the lowest budget of everything queued) or evict a lower-budget
-    // pending miss to make room.
-    std::shared_ptr<MissTicket> ticket;
-    if (!AdmitMiss(deadline, &ticket)) {
-      on_done(i, ShedResponse("shed at admission: pool over watermark, "
-                              "lowest budget first"));
-      continue;
-    }
-    // Compute on the pool. ExecuteWithKey never throws and on_done must
-    // not, so the task honors the pool's no-throw contract. BeginMiss
-    // re-checks the budget at dequeue — time queued behind a backed-up
-    // pool counts.
-    bool submitted = pool_.Submit(
-        [this, i, request = std::move(request), key = std::move(*key),
-         ticket, on_done] {
-          switch (BeginMiss(ticket)) {
-            case MissGate::kShedByWatermark:
-              on_done(i, ShedResponse("shed while queued: pool over "
-                                      "watermark, lowest budget first"));
-              return;
-            case MissGate::kExpiredInQueue:
-              on_done(i, ShedResponse("deadline expired while queued"));
-              return;
-            case MissGate::kProceed:
-              break;
-          }
-          on_done(i, ExecuteWithKey(request, key));
-        });
-    if (!submitted) {
-      // Pool already stopped (teardown): every request is still answered
-      // exactly once — a dropped callback would wedge the front end's
-      // drain accounting forever. The never-run task also never consumes
-      // its ticket, so roll the registration back here.
-      AbandonMiss(ticket);
-      api::QueryStats stats;
-      stats.epoch = cache_.epoch();
-      on_done(i, api::QueryResponse::Failure(
-                     api::Status::Internal("service shutting down"), stats));
-    }
+    on_done(ShedResponse("deadline expired at admission"));
+    return;
+  }
+  if (ResultPtr hit = cache_.Lookup(*key)) {
+    api::QueryStats stats;
+    stats.compute_micros = timer.ElapsedMicros();
+    RecordQuery(hit.get(), /*hit=*/true, stats.compute_micros);
+    stats.cache_hit = true;
+    stats.negative = hit->negative();
+    stats.epoch = cache_.epoch();
+    on_done(api::QueryResponse::Success(AliasResults(hit), stats));
+    return;
+  }
+  // Miss: the pending-miss watermark may shed this request now (it has
+  // the lowest budget of everything queued) or evict a lower-budget
+  // pending miss to make room.
+  std::shared_ptr<MissTicket> ticket;
+  if (!AdmitMiss(deadline_micros, &ticket)) {
+    on_done(ShedResponse("shed at admission: pool over watermark, "
+                         "lowest budget first"));
+    return;
+  }
+  // Compute on the pool. ExecuteWithKey never throws and on_done must
+  // not, so the task honors the pool's no-throw contract. BeginMiss
+  // re-checks the budget at dequeue — time queued behind a backed-up
+  // pool counts.
+  bool submitted = pool_.Submit(
+      [this, request = std::move(request), key = std::move(*key), ticket,
+       on_done] {
+        switch (BeginMiss(ticket)) {
+          case MissGate::kShedByWatermark:
+            on_done(ShedResponse("shed while queued: pool over "
+                                 "watermark, lowest budget first"));
+            return;
+          case MissGate::kExpiredInQueue:
+            on_done(ShedResponse("deadline expired while queued"));
+            return;
+          case MissGate::kProceed:
+            break;
+        }
+        on_done(ExecuteWithKey(request, key));
+      });
+  if (!submitted) {
+    // Pool already stopped (teardown): every request is still answered
+    // exactly once — a dropped callback would wedge the front end's
+    // drain accounting forever. The never-run task also never consumes
+    // its ticket, so roll the registration back here.
+    AbandonMiss(ticket);
+    on_done(FailureResponse(api::Status::Internal("service shutting down")));
   }
 }
 
@@ -296,9 +263,6 @@ void QueryService::RebindContext(const search::SearchContext& context) {
   // with its data; the new context's memo may hold partials from a life
   // before an earlier rebind. In-flight queries pinned to the old binding
   // captured pre-bump memo epochs, so their inserts are discarded.
-  if (options_.partials.has_value()) {
-    context.partials_memo().Configure(*options_.partials);
-  }
   old->ctx->partials_memo().BumpEpoch();
   context.partials_memo().BumpEpoch();
   // Drain. No new pin can reach `old` (binding_ no longer points to it),
@@ -311,14 +275,16 @@ void QueryService::RebindContext(const search::SearchContext& context) {
   while (old->pins != 0) context_cv_.Wait(context_mu_);
 }
 
-void QueryService::RecordLatency(bool hit, bool negative, double micros) {
+void QueryService::RecordQuery(const CachedResult* result, bool hit,
+                               double micros) {
   util::MutexLock lock(latency_mu_);
   ++queries_;
+  if (result == nullptr) return;
   all_latency_.Add(micros);
   (hit ? hit_latency_ : miss_latency_).Add(micros);
   // Negative hits are double-attributed (they are hits, and they are
   // negative): negative_hit_latency_us answers "how fast do we say no?".
-  if (hit && negative) {
+  if (hit && result->negative()) {
     negative_hit_latency_.Add(micros);
   }
 }

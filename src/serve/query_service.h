@@ -9,11 +9,11 @@
 //     the calling thread; validation and backend failures come back as
 //     typed Status codes, and response.stats reports cache hit/miss, wall
 //     time and the cache epoch.
-//   - SubmitBatch(requests, deadlines, on_done) — the async, batched,
-//     callback-based entry the TCP front end (net::Server) drives:
+//   - Submit(request, deadline, on_done) — the async, callback-based entry
+//     the TCP front end (net::Server) drives, one call per decoded frame:
 //     invalid requests, expired budgets and cache hits are answered inline,
-//     misses fan out over the service's pool, and duplicate misses within
-//     (and across) batches coalesce onto one computation.
+//     misses run on the service's pool, and concurrent misses for one key
+//     coalesce onto one computation.
 // Both share one ResultCache keyed by api::CanonicalQueryKey, so skewed
 // workloads — the realistic shape of keyword traffic — collapse onto one
 // computation per distinct (keyword set, options) pair.
@@ -27,10 +27,12 @@
 //     epoch, and blocks until every in-flight query still executing
 //     against the old context has finished — once it returns, the old
 //     context is unreferenced by the service and no result computed
-//     against it is ever served, so the caller may destroy it.
-//   - SubmitBatch callbacks may run on worker threads; they must not throw
+//     against it is ever served, so the caller may destroy it. That epoch
+//     bump is the cache's only invalidation: an answer is a deterministic
+//     function of an immutable context, so nothing else can make it stale.
+//   - Submit callbacks may run on worker threads; they must not throw
 //     (util::ThreadPool contract) and must not block waiting for other
-//     SubmitBatch answers (a blocked worker can deadlock a fully occupied
+//     Submit answers (a blocked worker can deadlock a fully occupied
 //     pool). Execute is safe from callbacks.
 #ifndef OSUM_SERVE_QUERY_SERVICE_H_
 #define OSUM_SERVE_QUERY_SERVICE_H_
@@ -40,9 +42,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "api/query.h"
@@ -69,17 +69,14 @@ struct OverloadOptions {
   size_t max_pending_misses = 0;
 };
 
+/// The per-(subject, l) partials memo under the result cache is
+/// configured on each SearchContext (SearchContext::partials_memo()), not
+/// here: the service flushes it on rebind but never resizes it.
 struct ServiceOptions {
-  /// Worker threads for SubmitBatch misses. 0 = hardware concurrency.
+  /// Worker threads for Submit misses. 0 = hardware concurrency.
   size_t num_threads = 0;
   ResultCacheOptions cache;
   OverloadOptions overload;
-  /// Sizing knob for the bound context's per-(subject, l) partials memo
-  /// (the finer-grained reuse tier under the result cache; see
-  /// core/partials_memo.h). Applied to the context at construction and to
-  /// every context passed to RebindContext; nullopt leaves each context's
-  /// own configuration untouched.
-  std::optional<core::PartialsMemoOptions> partials;
 };
 
 class QueryService {
@@ -101,28 +98,27 @@ class QueryService {
   /// already waiting.
   api::QueryResponse Execute(const api::QueryRequest& request);
 
-  /// The async batch: each answer is delivered as on_done(index, response).
+  /// The async entry: the answer is delivered once, as on_done(response).
   /// Invalid requests and cache hits are answered inline on the submitting
-  /// thread, misses run on the pool with duplicates coalesced — so on_done
-  /// may run on the submitting thread or on a worker; it must not throw
-  /// and must not block on other SubmitBatch answers. The submitting
-  /// thread never blocks on a miss.
+  /// thread; a miss runs on the pool, coalesced with concurrent misses for
+  /// the same key — so on_done may run on the submitting thread or on a
+  /// worker; it must not throw and must not block on other Submit
+  /// answers. The submitting thread never blocks on a miss.
   ///
-  /// `deadlines_micros[i]` is the ABSOLUTE deadline of requests[i] on this
-  /// service's clock() (0 = none; missing entries count as 0) — the wire
-  /// front end stamps `now + request.deadline_micros()` at dispatch, so
-  /// time spent queued in the front end counts against the budget. An
-  /// expired request is answered kDeadlineExceeded at admission without
-  /// touching the cache or backend (metrics().sheds_at_admission); a miss
-  /// whose deadline expires while queued behind the pool is answered the
-  /// same way when dequeued, before compute (metrics().sheds_at_dequeue).
+  /// `deadline_micros` is the ABSOLUTE deadline on this service's clock()
+  /// (0 = none) — the wire front end stamps `now + request.deadline_micros()`
+  /// at dispatch, so time spent queued in the front end counts against the
+  /// budget. An expired request is answered kDeadlineExceeded at admission
+  /// without touching the cache or backend (metrics().sheds_at_admission);
+  /// a miss whose deadline expires while queued behind the pool is
+  /// answered the same way when dequeued, before compute
+  /// (metrics().sheds_at_dequeue).
   ///
-  /// Every request is answered exactly once: if the pool has already
-  /// stopped (service teardown), the miss is answered inline with
-  /// kInternal rather than dropped.
-  void SubmitBatch(std::vector<api::QueryRequest> requests,
-                   std::vector<uint64_t> deadlines_micros,
-                   std::function<void(size_t, api::QueryResponse)> on_done);
+  /// The request is answered exactly once: if the pool has already
+  /// stopped (service teardown), a miss is answered inline with kInternal
+  /// rather than dropped.
+  void Submit(api::QueryRequest request, uint64_t deadline_micros,
+              std::function<void(api::QueryResponse)> on_done);
 
   /// Atomically redirects future queries to `context`, invalidates the
   /// cache, and drains: blocks until every in-flight query still executing
@@ -133,12 +129,6 @@ class QueryService {
 
   /// Drops cached entries without invalidating (memory relief).
   void ClearCache() { cache_.Clear(); }
-
-  /// Maintenance tick for the cache policy: erases expired entries and
-  /// prunes stale doorkeeper sightings (see ResultCache::SweepExpired).
-  /// Returns the number of entries erased. Optional — lazy expiry already
-  /// guarantees expired entries are never served.
-  size_t SweepExpiredCache() { return cache_.SweepExpired(); }
 
   /// The currently bound context. The reference itself is not pinned —
   /// it stays valid only under the caller's own lifetime coordination
@@ -194,18 +184,12 @@ class QueryService {
     util::Summary Snapshot() const;
   };
 
-  /// The one cache-aware compute path both entry points ride: hit,
-  /// coalesced wait, or inline compute under a context pin. `key` is the
-  /// precomputed canonical key (canonicalized exactly once per query —
-  /// callers thread it through). Records hit/miss latency on success
-  /// (negative answers attributed separately); compute exceptions
-  /// propagate (and nothing is recorded or cached).
-  ResultPtr ComputeCached(std::string_view keywords,
-                          const search::QueryOptions& options,
-                          const std::string& key, bool* computed_out);
-
-  /// Status-typed wrapper over ComputeCached for a pre-validated request;
-  /// never throws (pooled SubmitBatch misses rely on that).
+  /// The one cache-aware compute path both entry points ride, for a
+  /// pre-validated request and its canonical key (canonicalized exactly
+  /// once per query — callers thread it through): hit, coalesced wait, or
+  /// inline compute under a context pin. Backend failures become
+  /// kBackendError and are cached nowhere; never throws (pooled Submit
+  /// misses rely on that).
   api::QueryResponse ExecuteWithKey(const api::QueryRequest& request,
                                     const std::string& key);
 
@@ -245,10 +229,16 @@ class QueryService {
   void AbandonMiss(const std::shared_ptr<MissTicket>& ticket)
       EXCLUDES(pending_mu_);
 
+  /// A non-OK response stamped with the current cache epoch.
+  api::QueryResponse FailureResponse(api::Status status) const;
   /// The kDeadlineExceeded response for a shed request.
-  api::QueryResponse ShedResponse(const char* why);
+  api::QueryResponse ShedResponse(const char* why) const;
 
-  void RecordLatency(bool hit, bool negative, double micros)
+  /// Counts one query that reached the cache and, when it succeeded
+  /// (`result` non-null), samples its latency by outcome — negative hits
+  /// attributed separately. A failed compute is counted, not sampled, so
+  /// the cache ledger (hits + coalesced waits + misses == queries) holds.
+  void RecordQuery(const CachedResult* result, bool hit, double micros)
       EXCLUDES(latency_mu_);
 
   const ServiceOptions options_;

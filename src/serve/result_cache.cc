@@ -19,10 +19,10 @@ size_t PerShard(size_t total, size_t shards) {
 
 }  // namespace
 
-size_t ApproxResultBytes(const std::vector<search::QueryResult>& results) {
+size_t ApproxResultBytes(const std::vector<api::QueryResult>& results) {
   size_t bytes = sizeof(CachedResult) +
-                 results.capacity() * sizeof(search::QueryResult);
-  for (const search::QueryResult& r : results) {
+                 results.capacity() * sizeof(api::QueryResult);
+  for (const api::QueryResult& r : results) {
     bytes += r.os.size() * sizeof(core::OsNode);
     for (const core::OsNode& n : r.os.nodes()) {
       bytes += n.children.size() * sizeof(core::OsNodeId);
@@ -54,7 +54,7 @@ ResultCache::ResultCache(ResultCacheOptions options)
 std::string ResultCache::InternalKey(uint64_t epoch,
                                      const std::string& key) const {
   // 0x1d separates the epoch prefix from the caller key (which itself uses
-  // only 0x1e/0x1f as separators, see search::CanonicalQueryKey).
+  // only 0x1e/0x1f as separators, see api::CanonicalQueryKey).
   std::string ikey = std::to_string(epoch);
   ikey += '\x1d';
   ikey += key;
@@ -78,41 +78,29 @@ void ResultCache::EvictOverBudget(Shard* shard) {
   }
 }
 
-bool ResultCache::EraseIfExpired(Shard* shard, Lru::iterator it) {
-  // Deadline check before the clock read: in the default no-TTL
-  // configuration every entry has deadline 0 and the hot hit path never
-  // pays a steady_clock call under the shard lock.
-  if (it->deadline == 0) return false;
-  return EraseExpiredAt(shard, it, clock_->NowMicros());
-}
-
-bool ResultCache::EraseExpiredAt(Shard* shard, Lru::iterator it,
-                                 uint64_t now) {
-  if (it->deadline == 0 || now < it->deadline) return false;
-  (it->value->negative() ? negative_ttl_expiries_ : ttl_expiries_)
-      .fetch_add(1, std::memory_order_relaxed);
-  // An expired key already proved itself cache-worthy (it was admitted
-  // once); leave a sighting so its first recompute re-admits immediately.
-  // Without this, admission+TTL together would doorkeeper-reject every
-  // hot key once per TTL period, doubling the expensive misses the cache
-  // exists to amortize. (LRU evictions deliberately do NOT get this:
-  // budget pressure means the key must re-earn its slot.)
-  if (policy_.admission_enabled) RecordSighting(shard, it->key, now);
-  shard->bytes -= it->bytes;
-  shard->map.erase(std::string_view(it->key));
-  shard->lru.erase(it);
-  return true;
-}
-
-void ResultCache::RecordSighting(Shard* shard, const std::string& ikey,
-                                 uint64_t now) {
+bool ResultCache::AdmitOrRecordSighting(Shard* shard,
+                                        const std::string& ikey) {
+  if (!policy_.admission_enabled) return true;
+  const uint64_t now = clock_->NowMicros();
   auto it = shard->sighting_map.find(std::string_view(ikey));
   if (it != shard->sighting_map.end()) {
+    if (policy_.admission_window_micros == 0 ||  // 0 = sightings never age
+        now < it->second->seen_micros + policy_.admission_window_micros) {
+      // Second sighting within the window: admit, consuming the record.
+      // (Map entry first: its string_view key aliases the list node.)
+      SightingList::iterator sighting = it->second;
+      shard->sighting_map.erase(it);
+      shard->sightings.erase(sighting);
+      return true;
+    }
+    // The sighting aged out of the window: refresh it and reject.
     it->second->seen_micros = now;
     shard->sightings.splice(shard->sightings.begin(), shard->sightings,
                             it->second);
-    return;
+    return false;
   }
+  // First sighting: record it, evicting the oldest past the cap, and
+  // reject.
   shard->sightings.push_front(Sighting{ikey, now});
   shard->sighting_map.emplace(std::string_view(shard->sightings.front().key),
                               shard->sightings.begin());
@@ -120,33 +108,7 @@ void ResultCache::RecordSighting(Shard* shard, const std::string& ikey,
     shard->sighting_map.erase(std::string_view(shard->sightings.back().key));
     shard->sightings.pop_back();
   }
-}
-
-bool ResultCache::AdmitOrRecordSighting(Shard* shard, const std::string& ikey,
-                                        uint64_t now) {
-  if (!policy_.admission_enabled) return true;
-  auto it = shard->sighting_map.find(std::string_view(ikey));
-  if (it != shard->sighting_map.end() &&
-      (policy_.admission_window_micros == 0 ||  // 0 = sightings never age
-       now < it->second->seen_micros + policy_.admission_window_micros)) {
-    // Second sighting within the window: admit, consuming the record.
-    // (Map entry first: its string_view key aliases the list node.)
-    SightingList::iterator sighting = it->second;
-    shard->sighting_map.erase(it);
-    shard->sightings.erase(sighting);
-    return true;
-  }
-  // First sighting, or one that aged out of the window: record/refresh
-  // and reject.
-  RecordSighting(shard, ikey, now);
   return false;
-}
-
-uint64_t ResultCache::DeadlineFor(const CachedResult& value,
-                                  uint64_t now) const {
-  uint64_t ttl =
-      value.negative() ? policy_.negative_ttl_micros : policy_.ttl_micros;
-  return ttl == 0 ? 0 : now + ttl;
 }
 
 ResultPtr ResultCache::Lookup(const std::string& key) {
@@ -155,7 +117,6 @@ ResultPtr ResultCache::Lookup(const std::string& key) {
   util::MutexLock lock(shard.mu);
   auto it = shard.map.find(std::string_view(ikey));
   if (it == shard.map.end()) return nullptr;
-  if (EraseIfExpired(&shard, it->second)) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   if (it->second->value->negative()) {
@@ -178,8 +139,7 @@ ResultPtr ResultCache::GetOrCompute(
   {
     util::MutexLock lock(shard.mu);
     auto it = shard.map.find(std::string_view(ikey));
-    if (it != shard.map.end() &&
-        !EraseIfExpired(&shard, it->second)) {
+    if (it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
       if (it->second->value->negative()) {
@@ -187,8 +147,6 @@ ResultPtr ResultCache::GetOrCompute(
       }
       return it->second->value;
     }
-    // Either never cached or just lazily expired — both are misses, and
-    // both coalesce onto whoever computes the key first.
     auto inflight = shard.inflight.find(ikey);
     if (inflight != shard.inflight.end()) {
       // Someone else is computing this key right now; wait for their
@@ -228,52 +186,19 @@ ResultPtr ResultCache::GetOrCompute(
     if (epoch_.load(std::memory_order_acquire) != epoch_at_start ||
         shard.map.find(std::string_view(ikey)) != shard.map.end()) {
       discarded_inserts_.fetch_add(1, std::memory_order_relaxed);
+    } else if (!AdmitOrRecordSighting(&shard, ikey)) {
+      admission_rejects_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      uint64_t now = clock_->NowMicros();
-      if (!AdmitOrRecordSighting(&shard, ikey, now)) {
-        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        size_t entry_bytes = value->approx_bytes + ikey.size();
-        uint64_t deadline = DeadlineFor(*value, now);
-        shard.lru.push_front(
-            Entry{std::move(ikey), value, entry_bytes, deadline});
-        shard.map.emplace(std::string_view(shard.lru.front().key),
-                          shard.lru.begin());
-        shard.bytes += entry_bytes;
-        EvictOverBudget(&shard);
-      }
+      size_t entry_bytes = value->approx_bytes + ikey.size();
+      shard.lru.push_front(Entry{std::move(ikey), value, entry_bytes});
+      shard.map.emplace(std::string_view(shard.lru.front().key),
+                        shard.lru.begin());
+      shard.bytes += entry_bytes;
+      EvictOverBudget(&shard);
     }
   }
   promise->set_value(value);
   return value;
-}
-
-size_t ResultCache::SweepExpired() {
-  size_t swept = 0;
-  for (auto& shard_ptr : shards_) {
-    // A reference local keeps the held capability (`shard.mu`) and the
-    // helpers' REQUIRES(shard->mu) textually identical for the analysis.
-    Shard& shard = *shard_ptr;
-    util::MutexLock lock(shard.mu);
-    uint64_t now = clock_->NowMicros();
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      auto next = std::next(it);
-      // Reuse the one clock read for the whole shard — a full sweep must
-      // not pay a steady_clock call per entry under the lock.
-      if (EraseExpiredAt(&shard, it, now)) ++swept;
-      it = next;
-    }
-    // Sightings age out back-to-front: the list is ordered by recording
-    // time, so pruning stops at the first still-in-window record. A zero
-    // window means sightings never age (only the cap bounds them).
-    while (policy_.admission_window_micros != 0 && !shard.sightings.empty() &&
-           now >= shard.sightings.back().seen_micros +
-                      policy_.admission_window_micros) {
-      shard.sighting_map.erase(std::string_view(shard.sightings.back().key));
-      shard.sightings.pop_back();
-    }
-  }
-  return swept;
 }
 
 void ResultCache::Clear() {
@@ -290,7 +215,7 @@ uint64_t ResultCache::BumpEpoch() {
   uint64_t next = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   // Old-epoch entries are unreachable already (epoch-prefixed keys); the
   // clear releases their memory. Old-epoch sightings are likewise
-  // unreachable and age out via the cap and SweepExpired.
+  // unreachable and age out through the per-shard cap.
   Clear();
   return next;
 }
@@ -304,9 +229,6 @@ CacheMetrics ResultCache::metrics() const {
   m.evictions = evictions_.load(std::memory_order_relaxed);
   m.discarded_inserts = discarded_inserts_.load(std::memory_order_relaxed);
   m.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
-  m.ttl_expiries = ttl_expiries_.load(std::memory_order_relaxed);
-  m.negative_ttl_expiries =
-      negative_ttl_expiries_.load(std::memory_order_relaxed);
   m.epoch = epoch();
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;

@@ -99,12 +99,6 @@ class CondVar {
     return status == std::cv_status::no_timeout;
   }
 
-  template <typename Rep, typename Period>
-  bool WaitFor(Mutex& mu, std::chrono::duration<Rep, Period> timeout)
-      REQUIRES(mu) {
-    return WaitUntil(mu, std::chrono::steady_clock::now() + timeout);
-  }
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

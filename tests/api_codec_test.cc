@@ -612,7 +612,7 @@ TEST(ApiEquivalence, ExecuteMatchesLegacyQueryOnDblpBothBackends) {
                                    /*per_select_micros=*/0.0);
   search::SearchContext graph_ctx = BuildDblpContext(f.d, &f.backend);
   search::SearchContext db_ctx = BuildDblpContext(f.d, &db_backend);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 9;
   options.max_results = 4;
   for (const search::SearchContext* ctx : {&graph_ctx, &db_ctx}) {
@@ -637,7 +637,7 @@ TEST(ApiEquivalence, ExecuteMatchesLegacyQueryOnTpch) {
     QueryResponse response =
         ctx.Execute(QueryRequest(keywords).WithL(10));
     ASSERT_TRUE(response.ok());
-    search::QueryOptions options;
+    api::QueryOptions options;
     options.l = 10;
     EXPECT_EQ(DeterministicResultText(response.result_list()),
               DeterministicResultText(ctx.Query(keywords, options)))

@@ -275,9 +275,9 @@ TEST(SummaryRanking, OrdersBySizeLImportance) {
   ExtFixture f;
   search::SearchContext ctx = AuthorContext(f);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
-  options.ranking = search::ResultRanking::kSummaryImportance;
+  options.ranking = api::ResultRanking::kSummaryImportance;
   auto results = ctx.Query("Faloutsos", options);
   ASSERT_EQ(results.size(), 3u);
   for (size_t i = 0; i + 1 < results.size(); ++i) {
@@ -290,10 +290,10 @@ TEST(SummaryRanking, TruncatesAfterRanking) {
   ExtFixture f;
   search::SearchContext ctx = AuthorContext(f);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 6;
   options.max_results = 1;
-  options.ranking = search::ResultRanking::kSummaryImportance;
+  options.ranking = api::ResultRanking::kSummaryImportance;
   auto top1 = ctx.Query("Faloutsos", options);
   ASSERT_EQ(top1.size(), 1u);
 

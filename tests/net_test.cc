@@ -675,7 +675,7 @@ TEST(NetOverload, TightDeadlinesShedWithoutComputeGenerousOnesSucceed) {
   CountingBackend twin_counter(&dblp.backend);
   search::SearchContext twin = BuildDblpContext(dblp.d, &twin_counter);
   uint64_t twin_before = twin_counter.fetches();
-  search::QueryOptions blocker_options;
+  api::QueryOptions blocker_options;
   blocker_options.l = 8;
   blocker_options.max_results = 2;
   (void)twin.Query("faloutsos", blocker_options);

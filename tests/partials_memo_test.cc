@@ -200,7 +200,7 @@ TEST(PartialsMemoIntegration, MemoOnMatchesMemoOffByteForByte) {
   off.enabled = false;
   without_memo.partials_memo().Configure(off);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 5;
   for (const char* keywords :
        {"databases", "faloutsos", "christos faloutsos"}) {
@@ -225,7 +225,7 @@ TEST(PartialsMemoIntegration, MemoOnMatchesMemoOffByteForByte) {
 TEST(PartialsMemoIntegration, OverlappingQueriesShareSubjectWork) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 5;
 
   ctx.Query("faloutsos", options);
@@ -245,7 +245,7 @@ TEST(PartialsMemoIntegration, OverlappingQueriesShareSubjectWork) {
 TEST(PartialsMemoIntegration, BumpEpochForcesRecomputeWithIdenticalResults) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 5;
 
   std::string golden = DeterministicResultText(ctx.Query("databases", options));
@@ -266,11 +266,11 @@ TEST(PartialsMemoIntegration, DistinctLAndAlgorithmDoNotCollide) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
 
-  search::QueryOptions l5;
+  api::QueryOptions l5;
   l5.l = 5;
-  search::QueryOptions l3 = l5;
+  api::QueryOptions l3 = l5;
   l3.l = 3;
-  search::QueryOptions dp = l5;
+  api::QueryOptions dp = l5;
   dp.algorithm = core::SizeLAlgorithm::kDp;
 
   // Golden answers from a memo-free context.

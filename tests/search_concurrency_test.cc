@@ -48,7 +48,7 @@ SearchContext BuildDblpContext(const datasets::Dblp& d,
 }
 
 std::vector<api::QueryRequest> ToRequests(const std::vector<std::string>& mix,
-                                          const QueryOptions& options) {
+                                          const api::QueryOptions& options) {
   std::vector<api::QueryRequest> requests;
   requests.reserve(mix.size());
   for (const std::string& q : mix) {
@@ -60,7 +60,7 @@ std::vector<api::QueryRequest> ToRequests(const std::vector<std::string>& mix,
 /// ExecuteBatch over a `threads`-worker pool.
 std::vector<api::QueryResponse> Batch(const SearchContext& ctx,
                                       const std::vector<std::string>& mix,
-                                      const QueryOptions& options,
+                                      const api::QueryOptions& options,
                                       size_t threads) {
   util::ThreadPool pool(threads);
   return ctx.ExecuteBatch(ToRequests(mix, options), pool);
@@ -68,7 +68,7 @@ std::vector<api::QueryResponse> Batch(const SearchContext& ctx,
 
 void ExpectBatchMatchesSerial(const SearchContext& ctx,
                               const std::vector<std::string>& mix,
-                              const QueryOptions& options) {
+                              const api::QueryOptions& options) {
   std::vector<std::string> serial;
   serial.reserve(mix.size());
   for (const api::QueryRequest& request : ToRequests(mix, options)) {
@@ -90,7 +90,7 @@ void ExpectBatchMatchesSerial(const SearchContext& ctx,
 TEST(ExecuteBatchEquivalence, DataGraphBackendDblp) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 12;
   options.max_results = 4;
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
@@ -102,7 +102,7 @@ TEST(ExecuteBatchEquivalence, DatabaseBackendDblp) {
   // affect results.
   core::DatabaseBackend backend(f.d.db, f.d.links, /*per_select_micros=*/0.0);
   SearchContext ctx = BuildDblpContext(f.d, &backend);
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   options.max_results = 3;
   options.algorithm = core::SizeLAlgorithm::kDp;
@@ -127,7 +127,7 @@ TEST(ExecuteBatchEquivalence, BothBackendsAgreeOnTpch) {
   }
   mix.push_back(f.t.db.relation(f.t.supplier).StringValue(0, 0));
 
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   options.max_results = 2;
   ExpectBatchMatchesSerial(graph_ctx, mix, options);
@@ -157,10 +157,10 @@ TEST(ExecuteBatchEquivalence, DegenerateBatches) {
 TEST(ExecuteBatchEquivalence, SummaryRankingMatchesSerial) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   options.max_results = 5;
-  options.ranking = ResultRanking::kSummaryImportance;
+  options.ranking = api::ResultRanking::kSummaryImportance;
   ExpectBatchMatchesSerial(ctx, DblpMix(f.d), options);
 }
 
@@ -175,7 +175,7 @@ TEST(SearchConcurrencyStress, SharedContextSharedBackend) {
   core::DatabaseBackend backend(f.d.db, f.d.links, /*per_select_micros=*/0.0);
   SearchContext ctx = BuildDblpContext(f.d, &backend);
   const std::vector<std::string> mix = DblpMix(f.d);
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   options.max_results = 3;
 
@@ -217,7 +217,7 @@ TEST(SearchConcurrencyStress, ConcurrentBatchesOnOneContext) {
   ScoredDblp f(SmallDblpConfig());
   SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   const std::vector<std::string> mix = DblpMix(f.d);
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   options.max_results = 2;
 

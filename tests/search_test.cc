@@ -88,7 +88,7 @@ TEST(InvertedIndex, HiddenColumnsNotIndexed) {
 
 TEST(Engine, Q1ReturnsThreeRankedSizeLOss) {
   SearchFixture f;
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 15;
   auto results = f.ctx.Query("Faloutsos", options);
   ASSERT_EQ(results.size(), 3u);
@@ -97,7 +97,7 @@ TEST(Engine, Q1ReturnsThreeRankedSizeLOss) {
   EXPECT_GE(results[1].subject_importance, results[2].subject_importance);
   // Christos (most prolific by construction) ranks first.
   EXPECT_EQ(results[0].subject.tuple, 0u);
-  for (const QueryResult& r : results) {
+  for (const api::QueryResult& r : results) {
     EXPECT_TRUE(core::IsValidSelection(r.os, r.selection, options.l));
   }
 }
@@ -105,7 +105,7 @@ TEST(Engine, Q1ReturnsThreeRankedSizeLOss) {
 TEST(Engine, SizeLSelectionRespectsL) {
   SearchFixture f;
   for (size_t l : {5u, 10u, 30u}) {
-    QueryOptions options;
+    api::QueryOptions options;
     options.l = l;
     auto results = f.ctx.Query("christos faloutsos", options);
     ASSERT_EQ(results.size(), 1u);
@@ -116,7 +116,7 @@ TEST(Engine, SizeLSelectionRespectsL) {
 
 TEST(Engine, CompleteOsWhenLZero) {
   SearchFixture f;
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 0;
   auto results = f.ctx.Query("christos faloutsos", options);
   ASSERT_EQ(results.size(), 1u);
@@ -126,7 +126,7 @@ TEST(Engine, CompleteOsWhenLZero) {
 
 TEST(Engine, MaxResultsTruncates) {
   SearchFixture f;
-  QueryOptions options;
+  api::QueryOptions options;
   options.max_results = 2;
   auto results = f.ctx.Query("Faloutsos", options);
   EXPECT_EQ(results.size(), 2u);
@@ -134,7 +134,7 @@ TEST(Engine, MaxResultsTruncates) {
 
 TEST(Engine, PrelimAndCompleteAgreeOnSelectionQuality) {
   SearchFixture f;
-  QueryOptions with_prelim, without;
+  api::QueryOptions with_prelim, without;
   with_prelim.l = without.l = 12;
   with_prelim.use_prelim = true;
   without.use_prelim = false;
@@ -152,7 +152,7 @@ TEST(Engine, MultiSubjectSearchCoversPapers) {
   auto results = f.ctx.Query("power law");
   EXPECT_GT(results.size(), 0u);
   bool has_paper = false;
-  for (const QueryResult& r : results) {
+  for (const api::QueryResult& r : results) {
     has_paper |= r.subject.relation == f.d.paper;
   }
   EXPECT_TRUE(has_paper);
@@ -160,7 +160,7 @@ TEST(Engine, MultiSubjectSearchCoversPapers) {
 
 TEST(Engine, RenderShowsSubjectAndIndentation) {
   SearchFixture f;
-  QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   auto results = f.ctx.Query("christos faloutsos", options);
   ASSERT_EQ(results.size(), 1u);
@@ -219,36 +219,36 @@ TEST(SearchContext, TakeSubjectsFeedsAFreshBuild) {
   // extension genuinely widened coverage to paper subjects.
   EXPECT_FALSE(fresh.Query("faloutsos").empty());
   bool has_paper = false;
-  for (const QueryResult& r : fresh.Query("power law")) {
+  for (const api::QueryResult& r : fresh.Query("power law")) {
     has_paper |= r.subject.relation == d.paper;
   }
   EXPECT_TRUE(has_paper);
 }
 
 TEST(CanonicalQueryKey, NormalizesKeywordSetAndSeparatesOptions) {
-  QueryOptions a;  // defaults
+  api::QueryOptions a;  // defaults
   // Case, order, duplicates and separators collapse onto one key.
-  EXPECT_EQ(CanonicalQueryKey("Christos  Faloutsos", a),
-            CanonicalQueryKey("faloutsos, christos CHRISTOS", a));
+  EXPECT_EQ(api::CanonicalQueryKey("Christos  Faloutsos", a),
+            api::CanonicalQueryKey("faloutsos, christos CHRISTOS", a));
   // Distinct keyword sets split.
-  EXPECT_NE(CanonicalQueryKey("christos", a),
-            CanonicalQueryKey("christos faloutsos", a));
+  EXPECT_NE(api::CanonicalQueryKey("christos", a),
+            api::CanonicalQueryKey("christos faloutsos", a));
   // Every result-affecting knob splits the key.
-  QueryOptions b = a;
+  api::QueryOptions b = a;
   b.l = a.l + 1;
-  EXPECT_NE(CanonicalQueryKey("x", a), CanonicalQueryKey("x", b));
+  EXPECT_NE(api::CanonicalQueryKey("x", a), api::CanonicalQueryKey("x", b));
   b = a;
   b.max_results = a.max_results + 1;
-  EXPECT_NE(CanonicalQueryKey("x", a), CanonicalQueryKey("x", b));
+  EXPECT_NE(api::CanonicalQueryKey("x", a), api::CanonicalQueryKey("x", b));
   b = a;
   b.algorithm = core::SizeLAlgorithm::kBottomUp;
-  EXPECT_NE(CanonicalQueryKey("x", a), CanonicalQueryKey("x", b));
+  EXPECT_NE(api::CanonicalQueryKey("x", a), api::CanonicalQueryKey("x", b));
   b = a;
   b.use_prelim = !a.use_prelim;
-  EXPECT_NE(CanonicalQueryKey("x", a), CanonicalQueryKey("x", b));
+  EXPECT_NE(api::CanonicalQueryKey("x", a), api::CanonicalQueryKey("x", b));
   b = a;
-  b.ranking = ResultRanking::kSummaryImportance;
-  EXPECT_NE(CanonicalQueryKey("x", a), CanonicalQueryKey("x", b));
+  b.ranking = api::ResultRanking::kSummaryImportance;
+  EXPECT_NE(api::CanonicalQueryKey("x", a), api::CanonicalQueryKey("x", b));
 }
 
 TEST(Engine, AlgorithmsAllProduceValidResults) {
@@ -256,12 +256,12 @@ TEST(Engine, AlgorithmsAllProduceValidResults) {
   for (auto algo : {core::SizeLAlgorithm::kDp, core::SizeLAlgorithm::kBottomUp,
                     core::SizeLAlgorithm::kTopPath,
                     core::SizeLAlgorithm::kTopPathMemo}) {
-    QueryOptions options;
+    api::QueryOptions options;
     options.l = 10;
     options.algorithm = algo;
     auto results = f.ctx.Query("Faloutsos", options);
     ASSERT_EQ(results.size(), 3u) << core::AlgorithmName(algo);
-    for (const QueryResult& r : results) {
+    for (const api::QueryResult& r : results) {
       EXPECT_TRUE(core::IsValidSelection(r.os, r.selection, options.l))
           << core::AlgorithmName(algo);
     }

@@ -2,17 +2,16 @@
 //
 // A straight-line, single-threaded reference model reimplements the
 // cache's documented semantics — LRU recency and eviction, entry/byte
-// budgets, epoch-prefixed keys, TTL + negative-TTL lazy/sweep expiry, and
-// the doorkeeper admission filter — in ~100 lines of obviously-correct
-// code. Seeded random op sequences (get / insert / clock-advance / sweep /
-// clear / bump-epoch) then run against BOTH implementations and every
-// observable must match exactly after every step: hit/miss outcomes,
-// returned values, admission decisions, expiry attribution, eviction
-// counts, and occupancy. LRU order is verified observationally: under
+// budgets, epoch-prefixed keys and the doorkeeper admission filter — in
+// under 100 lines of obviously-correct code. Seeded random op sequences
+// (get / insert / clock-advance / clear / bump-epoch) then run against
+// BOTH implementations and every observable must match exactly after
+// every step: hit/miss outcomes, returned values, admission decisions,
+// eviction counts, and occupancy. LRU order is verified observationally: under
 // tight budgets any order divergence changes a later eviction victim and
 // therefore a later hit/miss outcome.
 //
-// Time comes from a FakeClock, so every TTL/window behavior is exercised
+// Time comes from a FakeClock, so every window behavior is exercised
 // deterministically with zero sleeps; the whole harness is single-
 // threaded and deterministic per (config, seed). It carries the `serve`
 // label, so the TSan CI lane runs it too (trivially clean — it exists to
@@ -57,7 +56,6 @@ class ModelCache {
   std::optional<ModelOutcome> Lookup(const std::string& key) {
     auto it = Find(InternalKey(key));
     if (it == lru_.end()) return std::nullopt;
-    if (EraseIfExpired(it)) return std::nullopt;
     lru_.splice(lru_.begin(), lru_, it);
     ++hits;
     if (it->negative) ++negative_hits;
@@ -68,7 +66,7 @@ class ModelCache {
                             bool negative) {
     std::string ikey = InternalKey(key);
     auto it = Find(ikey);
-    if (it != lru_.end() && !EraseIfExpired(it)) {
+    if (it != lru_.end()) {
       lru_.splice(lru_.begin(), lru_, it);
       ++hits;
       if (it->negative) ++negative_hits;
@@ -78,10 +76,7 @@ class ModelCache {
     if (!AdmitOrRecordSighting(ikey)) {
       ++admission_rejects;
     } else {
-      uint64_t ttl =
-          negative ? policy_.negative_ttl_micros : policy_.ttl_micros;
-      lru_.push_front(Entry{ikey, approx, approx + ikey.size(),
-                            ttl == 0 ? 0 : now_ + ttl, negative});
+      lru_.push_front(Entry{ikey, approx, approx + ikey.size(), negative});
       bytes_ += lru_.front().bytes;
       while (lru_.size() > 1 &&
              (lru_.size() > max_entries_ || bytes_ > max_bytes_)) {
@@ -91,20 +86,6 @@ class ModelCache {
       }
     }
     return ModelOutcome{false, approx, negative};
-  }
-
-  size_t SweepExpired() {
-    size_t swept = 0;
-    for (auto it = lru_.begin(); it != lru_.end();) {
-      auto next = std::next(it);
-      if (EraseIfExpired(it)) ++swept;
-      it = next;
-    }
-    while (policy_.admission_window_micros != 0 && !sightings_.empty() &&
-           now_ >= sightings_.back().seen + policy_.admission_window_micros) {
-      sightings_.pop_back();
-    }
-    return swept;
   }
 
   void Clear() {
@@ -119,7 +100,6 @@ class ModelCache {
 
   // Observables compared against CacheMetrics after every op.
   uint64_t hits = 0, negative_hits = 0, misses = 0, evictions = 0;
-  uint64_t ttl_expiries = 0, negative_ttl_expiries = 0;
   uint64_t admission_rejects = 0;
   uint64_t epoch = 0;
   size_t entries() const { return lru_.size(); }
@@ -131,7 +111,6 @@ class ModelCache {
     std::string ikey;
     size_t approx = 0;
     size_t bytes = 0;
-    uint64_t deadline = 0;
     bool negative = false;
   };
   struct Sighting {
@@ -151,17 +130,6 @@ class ModelCache {
       if (it->ikey == ikey) return it;
     }
     return lru_.end();
-  }
-
-  bool EraseIfExpired(std::list<Entry>::iterator it) {
-    if (it->deadline == 0 || now_ < it->deadline) return false;
-    (it->negative ? negative_ttl_expiries : ttl_expiries)++;
-    // Expiry re-seeds the doorkeeper (the cache does the same): the
-    // erased key's first recompute is re-admitted.
-    if (policy_.admission_enabled) RecordSighting(it->ikey);
-    bytes_ -= it->bytes;
-    lru_.erase(it);
-    return true;
   }
 
   void RecordSighting(const std::string& ikey) {
@@ -248,8 +216,8 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
   }
   keys.push_back("a-deliberately-longer-canonical-key");
   keys.push_back("x");
-  // Clock deltas straddle every policy boundary: within TTL, at TTL, past
-  // the window, and tiny nudges.
+  // Clock deltas straddle the admission window: within it, at it, past
+  // it, and tiny nudges.
   const uint64_t deltas[] = {1,   50,  100, 250,  251, 400,
                              500, 501, 999, 1000, 1001, 5000};
 
@@ -259,8 +227,6 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
     ASSERT_EQ(m.negative_hits, model.negative_hits) << when;
     ASSERT_EQ(m.misses, model.misses) << when;
     ASSERT_EQ(m.evictions, model.evictions) << when;
-    ASSERT_EQ(m.ttl_expiries, model.ttl_expiries) << when;
-    ASSERT_EQ(m.negative_ttl_expiries, model.negative_ttl_expiries) << when;
     ASSERT_EQ(m.admission_rejects, model.admission_rejects) << when;
     ASSERT_EQ(m.entries, model.entries()) << when;
     ASSERT_EQ(m.approx_bytes, model.bytes()) << when;
@@ -289,7 +255,7 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
         return Payload(approx, negative);
       });
       ASSERT_NE(got, nullptr);
-      ASSERT_EQ(computed, !expected.hit) << "admission/expiry divergence";
+      ASSERT_EQ(computed, !expected.hit) << "admission divergence";
       ASSERT_EQ(got->approx_bytes, expected.approx);
       ASSERT_EQ(got->negative(), expected.negative);
     } else if (dice < 70) {
@@ -301,11 +267,9 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
         ASSERT_EQ(got->approx_bytes, expected->approx);
         ASSERT_EQ(got->negative(), expected->negative);
       }
-    } else if (dice < 85) {
+    } else if (dice < 91) {
       clock->AdvanceMicros(deltas[rng.NextU64(std::size(deltas))]);
       model.set_now(clock->NowMicros());
-    } else if (dice < 91) {
-      ASSERT_EQ(cache.SweepExpired(), model.SweepExpired());
     } else if (dice < 96) {
       cache.Clear();
       model.Clear();
@@ -327,32 +291,20 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
   ASSERT_NO_FATAL_FAILURE(check_counters("final"));
 }
 
-/// TTLs chosen so the clock deltas above cross them often: positive 1000,
-/// negative 250, admission window 500.
+/// Admission with a window the clock deltas above cross often (500) and
+/// the default sighting cap.
 CachePolicyOptions FullPolicy() {
   CachePolicyOptions p;
-  p.ttl_micros = 1000;
-  p.negative_ttl_micros = 250;
   p.admission_enabled = true;
   p.admission_window_micros = 500;
   return p;
 }
 
 TEST(ResultCachePropertyHarness, LegacyPolicyMatchesModel) {
-  // No TTLs, no admission: the seed-era contract (LRU + budgets + epochs)
+  // No admission: the seed-era contract (LRU + budgets + epochs)
   // must be bit-compatible with the model.
   HarnessConfig config{"legacy", 6, 1500, CachePolicyOptions{}};
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RunSequence(config, seed, 1200);
-  }
-}
-
-TEST(ResultCachePropertyHarness, TtlOnlyMatchesModel) {
-  CachePolicyOptions p;
-  p.ttl_micros = 1000;
-  p.negative_ttl_micros = 250;
-  HarnessConfig config{"ttl-only", 8, 1u << 20, p};
-  for (uint64_t seed = 11; seed <= 18; ++seed) {
     RunSequence(config, seed, 1200);
   }
 }
@@ -369,8 +321,8 @@ TEST(ResultCachePropertyHarness, AdmissionOnlyMatchesModel) {
 }
 
 TEST(ResultCachePropertyHarness, FullPolicyTightBudgetsMatchesModel) {
-  // Everything on at once, with budgets tight enough that eviction,
-  // expiry and admission interact on nearly every insert.
+  // Admission with budgets tight enough that eviction and admission
+  // interact on nearly every insert.
   HarnessConfig config{"full-tight", 4, 700, FullPolicy()};
   for (uint64_t seed = 31; seed <= 42; ++seed) {
     RunSequence(config, seed, 1500);
@@ -385,11 +337,8 @@ TEST(ResultCachePropertyHarness, FullPolicyRoomyBudgetsMatchesModel) {
 }
 
 TEST(ResultCachePropertyHarness, ZeroWindowAdmissionMatchesModel) {
-  // window 0 = sightings never age out (bounded by the cap alone); with
-  // TTLs on so the expiry re-seed path also runs against this setting.
+  // window 0 = sightings never age out (bounded by the cap alone).
   CachePolicyOptions p;
-  p.ttl_micros = 1000;
-  p.negative_ttl_micros = 250;
   p.admission_enabled = true;
   p.admission_window_micros = 0;
   p.admission_max_tracked = 4;

@@ -1,8 +1,7 @@
 // ResultCache unit behavior: LRU recency and eviction order, byte-budget
-// enforcement, epoch invalidation, exception safety, the cache policy
-// (doorkeeper admission, TTL + negative-TTL expiry on a FakeClock — zero
-// sleeps), and the stampede guarantee (N concurrent misses for one key =>
-// exactly 1 compute, preserved across TTL expiry) — the stress tests
+// enforcement, epoch invalidation, exception safety, doorkeeper admission
+// (on a FakeClock — zero sleeps), and the stampede guarantee (N concurrent
+// misses for one key => exactly 1 compute) — the stress tests
 // double as the TSan canary for the serving layer (run via scripts/ci.sh's
 // thread-sanitizer lane, label serve;slow).
 #include <atomic>
@@ -22,9 +21,9 @@ namespace osum::serve {
 namespace {
 
 /// A dummy payload of a chosen budget weight. Results stay empty — the
-/// cache treats such values as *negative* answers, which is exactly what
-/// the legacy LRU/budget tests want: no TTLs are configured there, so
-/// negativity is inert.
+/// cache treats such values as *negative* answers, which only the
+/// negative-hit counter distinguishes, so the LRU/budget tests can ignore
+/// it.
 CachedResult Payload(size_t approx_bytes) {
   CachedResult r;
   r.approx_bytes = approx_bytes;
@@ -195,82 +194,15 @@ ResultCacheOptions PolicyShard(CachePolicyOptions policy,
   return o;
 }
 
-TEST(ResultCacheTtl, PositiveEntryExpiresLazilyAtDeadline) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.ttl_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
-
-  cache.GetOrCompute("q", [] { return PositivePayload(7); });
-  clock->AdvanceMicros(999);  // alive strictly less than the TTL
-  EXPECT_NE(cache.Lookup("q"), nullptr);
-  clock->AdvanceMicros(1);  // now == deadline: expired
-  EXPECT_EQ(cache.Lookup("q"), nullptr);
-  CacheMetrics m = cache.metrics();
-  EXPECT_EQ(m.ttl_expiries, 1u);
-  EXPECT_EQ(m.negative_ttl_expiries, 0u);
-  EXPECT_EQ(m.entries, 0u);
-  // The expired key recomputes (a fresh miss), with a fresh deadline.
-  bool computed = false;
-  cache.GetOrCompute("q", [&] {
-    computed = true;
-    return PositivePayload(7);
-  });
-  EXPECT_TRUE(computed);
-  EXPECT_EQ(cache.metrics().misses, 2u);
-}
-
-TEST(ResultCacheTtl, NegativeEntriesUseTheShorterNegativeTtl) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.ttl_micros = 1000;
-  policy.negative_ttl_micros = 100;
-  ResultCache cache(PolicyShard(policy, clock));
-
-  cache.GetOrCompute("pos", [] { return PositivePayload(5); });
-  cache.GetOrCompute("neg", [] { return Payload(5); });  // OK-empty
-  clock->AdvanceMicros(100);
-  // The negative entry is gone; the positive one has 900us to live.
-  EXPECT_EQ(cache.Lookup("neg"), nullptr);
-  EXPECT_NE(cache.Lookup("pos"), nullptr);
-  CacheMetrics m = cache.metrics();
-  EXPECT_EQ(m.negative_ttl_expiries, 1u);
-  EXPECT_EQ(m.ttl_expiries, 0u);
-  // A hit on a live negative entry is attributed as a negative hit.
-  cache.GetOrCompute("neg", [] { return Payload(5); });
-  EXPECT_NE(cache.Lookup("neg"), nullptr);
-  EXPECT_EQ(cache.metrics().negative_hits, 1u);
-}
-
+// The epoch is the only invalidation: no amount of clock time unseats an
+// entry.
 TEST(ResultCacheTtl, ZeroTtlMeansEntriesNeverExpire) {
   auto clock = std::make_shared<FakeClock>();
   ResultCache cache(PolicyShard(CachePolicyOptions{}, clock));
   cache.GetOrCompute("q", [] { return PositivePayload(3); });
   clock->AdvanceMicros(1ull << 40);  // ~2 weeks of fake time
   EXPECT_NE(cache.Lookup("q"), nullptr);
-  EXPECT_EQ(cache.metrics().ttl_expiries, 0u);
-}
-
-TEST(ResultCacheTtl, SweepErasesExpiredAndAttributesByKind) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.ttl_micros = 1000;
-  policy.negative_ttl_micros = 100;
-  ResultCache cache(PolicyShard(policy, clock));
-
-  cache.GetOrCompute("pos1", [] { return PositivePayload(5); });
-  cache.GetOrCompute("pos2", [] { return PositivePayload(5); });
-  cache.GetOrCompute("neg1", [] { return Payload(5); });
-  clock->AdvanceMicros(100);
-  EXPECT_EQ(cache.SweepExpired(), 1u);  // just the negative
-  clock->AdvanceMicros(900);
-  EXPECT_EQ(cache.SweepExpired(), 2u);  // both positives hit 1000
-  CacheMetrics m = cache.metrics();
-  EXPECT_EQ(m.ttl_expiries, 2u);
-  EXPECT_EQ(m.negative_ttl_expiries, 1u);
-  EXPECT_EQ(m.entries, 0u);
-  EXPECT_EQ(m.approx_bytes, 0u);
-  EXPECT_EQ(m.evictions, 0u);  // expiry is not eviction
+  EXPECT_EQ(cache.metrics().entries, 1u);
 }
 
 TEST(ResultCacheAdmission, SecondSightingWithinWindowAdmits) {
@@ -326,8 +258,8 @@ TEST(ResultCacheAdmission, SightingOutsideWindowRefreshesAndRejectsAgain) {
 }
 
 TEST(ResultCacheAdmission, ZeroWindowMeansSightingsNeverAgeOut) {
-  // Matches the TTL convention (0 = no time limit) — a zero window must
-  // NOT mean "reject everything forever".
+  // 0 = no time limit — a zero window must NOT mean "reject everything
+  // forever".
   auto clock = std::make_shared<FakeClock>();
   CachePolicyOptions policy;
   policy.admission_enabled = true;
@@ -339,10 +271,9 @@ TEST(ResultCacheAdmission, ZeroWindowMeansSightingsNeverAgeOut) {
   cache.GetOrCompute("q", [] { return PositivePayload(1); });
   EXPECT_EQ(cache.metrics().entries, 1u);  // ...the 2nd sighting admits
   EXPECT_NE(cache.Lookup("q"), nullptr);
-  // And the sweep never prunes timeless sightings.
+  // And time never ages a timeless sighting out.
   cache.GetOrCompute("r", [] { return PositivePayload(1); });
   clock->AdvanceMicros(1ull << 40);
-  EXPECT_EQ(cache.SweepExpired(), 0u);
   EXPECT_EQ(cache.metrics().tracked_sightings, 1u);
 }
 
@@ -379,77 +310,6 @@ TEST(ResultCacheAdmission, SightingCapEvictsOldestRecorded) {
   CacheMetrics m = cache.metrics();
   EXPECT_EQ(m.entries, 1u);  // "a" still not admitted
   EXPECT_EQ(m.admission_rejects, 4u);  // a, b, c, a
-}
-
-TEST(ResultCacheAdmission, SweepPrunesAgedOutSightings) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.admission_enabled = true;
-  policy.admission_window_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
-
-  cache.GetOrCompute("a", [] { return PositivePayload(1); });
-  clock->AdvanceMicros(600);
-  cache.GetOrCompute("b", [] { return PositivePayload(1); });
-  clock->AdvanceMicros(400);  // a's sighting is 1000 old; b's is 400 old
-  EXPECT_EQ(cache.SweepExpired(), 0u);  // no cache entries to expire...
-  EXPECT_EQ(cache.metrics().tracked_sightings, 1u);  // ...but a's pruned
-}
-
-TEST(ResultCacheAdmission, ExpiredHotKeyReadmitsOnFirstRecompute) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.admission_enabled = true;
-  policy.admission_window_micros = 10'000;
-  policy.ttl_micros = 1000;
-  ResultCache cache(PolicyShard(policy, clock));
-
-  // Two sightings admit the key; then its TTL elapses.
-  cache.GetOrCompute("q", [] { return PositivePayload(3); });
-  cache.GetOrCompute("q", [] { return PositivePayload(3); });
-  EXPECT_EQ(cache.metrics().entries, 1u);
-  clock->AdvanceMicros(1000);
-
-  // The expiry left a sighting, so ONE recompute restores the entry —
-  // a hot key does not pay the doorkeeper toll once per TTL period.
-  bool computed = false;
-  cache.GetOrCompute("q", [&] {
-    computed = true;
-    return PositivePayload(3);
-  });
-  EXPECT_TRUE(computed);
-  CacheMetrics m = cache.metrics();
-  EXPECT_EQ(m.entries, 1u);
-  EXPECT_EQ(m.ttl_expiries, 1u);
-  EXPECT_EQ(m.admission_rejects, 1u);  // only the original first sighting
-  EXPECT_NE(cache.Lookup("q"), nullptr);
-
-  // Same via the sweep path: expire, sweep, recompute once -> cached.
-  clock->AdvanceMicros(1000);
-  EXPECT_EQ(cache.SweepExpired(), 1u);
-  EXPECT_EQ(cache.metrics().tracked_sightings, 1u);
-  cache.GetOrCompute("q", [] { return PositivePayload(3); });
-  EXPECT_EQ(cache.metrics().entries, 1u);
-  EXPECT_EQ(cache.metrics().admission_rejects, 1u);
-}
-
-TEST(ResultCacheEpoch, BumpInvalidatesRegardlessOfRemainingTtl) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.ttl_micros = 1'000'000;  // a whole fake second of validity
-  ResultCache cache(PolicyShard(policy, clock));
-
-  cache.GetOrCompute("q", [] { return PositivePayload(7); });
-  EXPECT_NE(cache.Lookup("q"), nullptr);
-  cache.BumpEpoch();
-  // TTL had 999+ms to go; the epoch barrier wins anyway.
-  EXPECT_EQ(cache.Lookup("q"), nullptr);
-  bool computed = false;
-  cache.GetOrCompute("q", [&] {
-    computed = true;
-    return PositivePayload(7);
-  });
-  EXPECT_TRUE(computed);
 }
 
 // The stampede guarantee, hammered: kThreads concurrent misses for the
@@ -525,65 +385,6 @@ TEST(ResultCacheStress, ConcurrentMixedKeys) {
     EXPECT_EQ(computes[k].load(), 1) << "key " << k;
   }
   EXPECT_EQ(cache.metrics().misses, static_cast<uint64_t>(kKeys));
-}
-
-// Stampede coalescing across TTL expiry (the ISSUE 5 acceptance clause):
-// when an entry expires, N concurrent callers must trigger exactly ONE
-// recompute — the first erases the stale entry and computes, the rest
-// coalesce onto its in-flight future. Run for a positive and a negative
-// entry (distinct TTLs), under TSan in CI.
-TEST(ResultCacheStress, ExpiredEntryRecomputesExactlyOnce) {
-  auto clock = std::make_shared<FakeClock>();
-  CachePolicyOptions policy;
-  policy.ttl_micros = 1000;
-  policy.negative_ttl_micros = 100;
-  ResultCacheOptions options;
-  options.policy = policy;
-  options.clock = clock;
-  ResultCache cache(options);
-
-  struct Case {
-    const char* key;
-    bool negative;
-  };
-  for (const Case& c : {Case{"pos-key", false}, Case{"neg-key", true}}) {
-    auto make = [&] {
-      return c.negative ? Payload(11) : PositivePayload(11);
-    };
-    cache.GetOrCompute(c.key, make);
-    EXPECT_NE(cache.Lookup(c.key), nullptr) << c.key;
-    clock->AdvanceMicros(1000);  // past both TTLs
-    constexpr size_t kThreads = 8;
-    std::atomic<int> computes{0};
-    std::atomic<int> ready{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (size_t w = 0; w < kThreads; ++w) {
-      threads.emplace_back([&] {
-        ready.fetch_add(1);
-        while (ready.load() < static_cast<int>(kThreads)) {
-          std::this_thread::yield();
-        }
-        ResultPtr got = cache.GetOrCompute(c.key, [&] {
-          computes.fetch_add(1);
-          // Hold the in-flight window open so late arrivals coalesce.
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          return make();
-        });
-        if (got == nullptr || got->negative() != c.negative) {
-          ADD_FAILURE() << "bad value for " << c.key;
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    EXPECT_EQ(computes.load(), 1) << c.key;
-  }
-  CacheMetrics m = cache.metrics();
-  // Per case: insert-miss + exactly one expiry recompute-miss.
-  EXPECT_EQ(m.misses, 4u);
-  EXPECT_EQ(m.ttl_expiries, 1u);
-  EXPECT_EQ(m.negative_ttl_expiries, 1u);
-  EXPECT_EQ(m.entries, 2u);  // both keys live again under fresh deadlines
 }
 
 }  // namespace

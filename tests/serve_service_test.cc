@@ -1,8 +1,8 @@
 // QueryService end-to-end: cached results must be byte-identical to
-// uncached SearchContext::Query on both join back ends, the async batched
-// path (SubmitBatch) must agree with the sync path (Execute) and be
-// cache-aware, and rebinding a rebuilt context must invalidate — a stale
-// context can never serve cached results.
+// uncached SearchContext::Query on both join back ends, the async path
+// (Submit) must agree with the sync path (Execute) and be cache-aware,
+// and rebinding a rebuilt context must invalidate — a stale context can
+// never serve cached results.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -48,17 +48,18 @@ ServiceOptions SmallService() {
 }
 
 api::QueryRequest Req(const std::string& keywords,
-                      const search::QueryOptions& options = {}) {
+                      const api::QueryOptions& options = {}) {
   return api::QueryRequest(keywords).WithOptions(options);
 }
 
-/// Collects SubmitBatch callbacks and blocks until all have fired.
+/// Collects the answers to n Submit calls (request i answers through
+/// Sink(i)) and blocks until all have fired.
 class BatchCollector {
  public:
   explicit BatchCollector(size_t n) : answered_(n, 0), responses_(n) {}
 
-  std::function<void(size_t, api::QueryResponse)> Sink() {
-    return [this](size_t i, api::QueryResponse response) {
+  std::function<void(api::QueryResponse)> Sink(size_t i) {
+    return [this, i](api::QueryResponse response) {
       std::lock_guard<std::mutex> lock(mu_);
       ++answered_[i];
       responses_[i] = std::move(response);
@@ -94,12 +95,14 @@ class BatchCollector {
   std::vector<api::QueryResponse> responses_;
 };
 
-/// SubmitBatch without deadlines, blocking until every answer arrived;
-/// responses in input order.
+/// One deadline-less Submit per request, in order, blocking until every
+/// answer arrived; responses in input order.
 std::vector<api::QueryResponse> SubmitAndWait(
-    QueryService& service, std::vector<api::QueryRequest> requests) {
+    QueryService& service, const std::vector<api::QueryRequest>& requests) {
   BatchCollector collector(requests.size());
-  service.SubmitBatch(std::move(requests), {}, collector.Sink());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    service.Submit(requests[i], 0, collector.Sink(i));
+  }
   collector.Wait();
   return collector.TakeResponses();
 }
@@ -199,7 +202,7 @@ class CountingBackend : public core::OsBackend {
 /// same immutable object, both byte-identical to an uncached Query.
 void ExpectHitMatchesRecompute(const search::SearchContext& ctx) {
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   options.max_results = 4;
 
@@ -244,7 +247,7 @@ TEST(QueryServiceEquivalence, KeywordNormalizationSharesOneEntry) {
   EXPECT_EQ(a.results.get(), b.results.get());
   EXPECT_EQ(service.metrics().cache.misses, 1u);
   // Different options are different entries.
-  search::QueryOptions other;
+  api::QueryOptions other;
   other.l = 7;
   api::QueryResponse c = service.Execute(Req("christos faloutsos", other));
   EXPECT_NE(c.results.get(), a.results.get());
@@ -257,18 +260,16 @@ TEST(QueryServiceAsync, FutureAndCallbackAgreeWithSync) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   std::string golden = DeterministicResultText(ctx.Query("databases", options));
 
   std::promise<api::QueryResponse> delivered;
-  std::vector<api::QueryRequest> requests;
-  requests.push_back(Req("databases", options));
-  service.SubmitBatch(std::move(requests), {},
-                      [&](size_t, api::QueryResponse response) {
-                        delivered.set_value(std::move(response));
-                      });
+  service.Submit(Req("databases", options), 0,
+                 [&](api::QueryResponse response) {
+                   delivered.set_value(std::move(response));
+                 });
   api::QueryResponse from_callback = delivered.get_future().get();
   ASSERT_TRUE(from_callback.ok());
   EXPECT_FALSE(from_callback.stats.cache_hit);
@@ -286,7 +287,7 @@ TEST(QueryServiceBatch, CacheAwareAndInputOrdered) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 9;
   options.max_results = 3;
 
@@ -325,7 +326,7 @@ TEST(QueryServiceEpoch, RebindAfterRebuildNeverServesStaleResults) {
       search::SearchContext::Build(f.d.db, &f.backend, std::move(authors));
 
   QueryService service(ctx1, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   options.max_results = 6;
 
@@ -360,7 +361,7 @@ TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
   search::SearchContext new_ctx = BuildDblpContext(f.d, &f.backend);
 
   QueryService service(old_ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm the bound context's memo through the service.
@@ -392,31 +393,6 @@ TEST(QueryServiceEpoch, RebindFlushesThePartialsMemo) {
   EXPECT_GT(service.metrics().partials.misses, after.partials.misses);
 }
 
-// ServiceOptions::partials applies to the context bound at construction
-// and to every context bound by RebindContext afterwards.
-TEST(QueryServiceEpoch, PartialsOptionConfiguresEveryBoundContext) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx1 = BuildDblpContext(f.d, &f.backend);
-  search::SearchContext ctx2 = BuildDblpContext(f.d, &f.backend);
-
-  ServiceOptions o = SmallService();
-  core::PartialsMemoOptions off;
-  off.enabled = false;
-  o.partials = off;
-  QueryService service(ctx1, o);
-  search::QueryOptions options;
-  options.l = 8;
-
-  service.Execute(Req("databases", options));
-  EXPECT_EQ(service.metrics().partials.inserts, 0u);
-  EXPECT_FALSE(ctx1.partials_memo().enabled());
-
-  service.RebindContext(ctx2);
-  EXPECT_FALSE(ctx2.partials_memo().enabled());
-  service.Execute(Req("databases", options));
-  EXPECT_EQ(service.metrics().partials.inserts, 0u);
-}
-
 // The lifetime half of the RebindContext contract: it must not return
 // while a query is still executing against the old context, because the
 // caller is entitled to destroy that context the moment it returns.
@@ -428,14 +404,12 @@ TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
   search::SearchContext new_ctx = BuildDblpContext(f.d, &f.backend);
 
   QueryService service(*old_ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   gated.CloseGate();
   BatchCollector inflight(1);
-  std::vector<api::QueryRequest> requests;
-  requests.push_back(Req("databases", options));
-  service.SubmitBatch(std::move(requests), {}, inflight.Sink());
+  service.Submit(Req("databases", options), 0, inflight.Sink(0));
   gated.WaitUntilBlocked();  // the miss has pinned old_ctx and is computing
 
   std::atomic<bool> rebound{false};
@@ -464,15 +438,16 @@ TEST(QueryServiceEpoch, RebindDrainsInFlightQueriesBeforeReturning) {
             DeterministicResultText(new_ctx.Query("databases", options)));
 }
 
-// A failing miss inside the batch fan-out becomes that request's
-// kBackendError (a pool task must not throw — an escaped exception would
-// terminate the process), leaves its neighbours alone, and caches nothing.
+// A failing pooled miss becomes that request's kBackendError (a pool task
+// must not throw — an escaped exception would terminate the process),
+// leaves its neighbours alone, caches nothing, and still counts as a query:
+// the cache ledger hits + coalesced waits + misses == queries holds.
 TEST(QueryServiceBatch, MissFailuresBecomePerRequestStatuses) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm one key so the failing batch mixes cache hits with bad misses.
@@ -491,6 +466,12 @@ TEST(QueryServiceBatch, MissFailuresBecomePerRequestStatuses) {
     EXPECT_EQ(failed[i].status.code(), api::StatusCode::kBackendError) << i;
     EXPECT_TRUE(failed[i].result_list().empty()) << i;
   }
+  Metrics after_failures = service.metrics();
+  EXPECT_EQ(after_failures.queries, 4u);  // warm + hit + two failed misses
+  EXPECT_EQ(after_failures.cache.hits + after_failures.cache.coalesced_waits +
+                after_failures.cache.misses,
+            after_failures.queries);
+  EXPECT_EQ(after_failures.latency_us.count(), 2u);  // successes only
 
   // Failures cached nothing: once joins heal, the same batch succeeds and
   // still reuses the pre-failure entry.
@@ -506,6 +487,10 @@ TEST(QueryServiceBatch, MissFailuresBecomePerRequestStatuses) {
                   ctx.Query(requests[i].keywords(), options)))
         << i;
   }
+  Metrics healed = service.metrics();
+  EXPECT_EQ(healed.cache.hits + healed.cache.coalesced_waits +
+                healed.cache.misses,
+            healed.queries);
 }
 
 // The request/response surface: Execute must agree byte-for-byte with the
@@ -516,7 +501,7 @@ TEST(QueryServiceApi, ExecuteMatchesLegacyAndReportsCacheOutcome) {
   QueryService service(ctx, SmallService());
   api::QueryRequest request =
       api::QueryRequest("faloutsos").WithL(10).WithMaxResults(4);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   options.max_results = 4;
   std::string golden = DeterministicResultText(ctx.Query("faloutsos", options));
@@ -550,7 +535,7 @@ TEST(QueryServiceApi, ExecuteMatchesRecomputeOnTpchDatabaseBackend) {
   api::QueryResponse response =
       service.Execute(api::QueryRequest(keywords).WithL(10));
   ASSERT_TRUE(response.ok());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 10;
   EXPECT_EQ(DeterministicResultText(response.result_list()),
             DeterministicResultText(ctx.Query(keywords, options)));
@@ -586,15 +571,15 @@ TEST(QueryServiceApi, InvalidAndFailingRequestsBecomeStatuses) {
   EXPECT_TRUE(none.result_list().empty());
 }
 
-// The async-batch acceptance contract: SubmitBatch returns while its
-// misses are still computing — the submitting thread never blocks — and
-// answers hits and invalid requests inline.
+// The async acceptance contract: Submit returns while its miss is still
+// computing — the submitting thread never blocks — and answers hits and
+// invalid requests inline.
 TEST(QueryServiceApi, SubmitBatchNeverBlocksTheSubmitter) {
   ScoredDblp f(SmallDblpConfig());
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm one key so the batch mixes an inline hit with gated misses.
@@ -607,7 +592,9 @@ TEST(QueryServiceApi, SubmitBatchNeverBlocksTheSubmitter) {
     requests.push_back(Req(q, options));
   }
   BatchCollector collector(requests.size());
-  service.SubmitBatch(std::move(requests), {}, collector.Sink());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    service.Submit(requests[i], 0, collector.Sink(i));
+  }
   // Submission returned while every miss is parked on the closed gate.
   gated.WaitUntilBlocked();
   // The hit and the invalid request were answered at submission time; the
@@ -643,7 +630,7 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   GatedBackend gated(&f.backend);
   search::SearchContext ctx = BuildDblpContext(f.d, &gated);
   auto service = std::make_unique<QueryService>(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   gated.CloseGate();
@@ -654,10 +641,12 @@ TEST(QueryServiceApi, FuturesOutliveTheServiceWithoutUseAfterFree) {
   std::vector<std::promise<api::QueryResponse>> promises(requests.size());
   std::vector<std::future<api::QueryResponse>> futures;
   for (auto& promise : promises) futures.push_back(promise.get_future());
-  service->SubmitBatch(std::move(requests), {},
-                       [&promises](size_t i, api::QueryResponse response) {
-                         promises[i].set_value(std::move(response));
-                       });
+  for (size_t i = 0; i < requests.size(); ++i) {
+    service->Submit(requests[i], 0,
+                    [&promises, i](api::QueryResponse response) {
+                      promises[i].set_value(std::move(response));
+                    });
+  }
   gated.WaitUntilBlocked();
 
   // Tear the service down while both misses are parked on the gate.
@@ -690,7 +679,7 @@ TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
   QueryService service(ctx, SmallService());
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   api::QueryResponse warm = service.Execute(Req("faloutsos", options));
@@ -701,7 +690,9 @@ TEST(QueryServiceApi, SubmitBatchAnswersEveryRequestExactlyOnce) {
     requests.push_back(Req(q, options));
   }
   BatchCollector collector(requests.size());
-  service.SubmitBatch(std::move(requests), {}, collector.Sink());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    service.Submit(requests[i], 0, collector.Sink(i));
+  }
   collector.Wait();
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(collector.answered(i), 1) << i;
   std::vector<api::QueryResponse> responses = collector.TakeResponses();
@@ -761,114 +752,6 @@ TEST(QueryServicePolicy, NegativeHitsAttributedInStatsAndMetrics) {
   EXPECT_EQ(m.cache.hits, 1u);
 }
 
-// The ISSUE 5 acceptance scenario end-to-end, on a fake clock with zero
-// sleeps: an expired positive entry and an expired negative entry each
-// recompute exactly once (stampede coalescing preserved across expiry),
-// and after a context rebind no pre-bump value is served regardless of
-// how much TTL it had left.
-TEST(QueryServicePolicy, ExpiryRecomputesOnceAndRebindBeatsTtl) {
-  ScoredDblp f(SmallDblpConfig());
-  GatedBackend gated(&f.backend);
-  search::SearchContext ctx = BuildDblpContext(f.d, &gated);
-
-  auto clock = std::make_shared<FakeClock>();
-  ServiceOptions so = SmallService();
-  so.cache.clock = clock;
-  so.cache.policy.ttl_micros = 1000;
-  so.cache.policy.negative_ttl_micros = 100;
-  // The partials memo would serve the post-expiry recompute without
-  // touching the (gated) backend — correct, but it would decouple the
-  // gate from the stampede this test proves. Disable it through the
-  // service knob so the recompute demonstrably reaches the backend.
-  core::PartialsMemoOptions no_partials;
-  no_partials.enabled = false;
-  so.partials = no_partials;
-  QueryService service(ctx, so);
-
-  search::QueryOptions options;
-  options.l = 8;
-  api::QueryRequest pos = api::QueryRequest("databases").WithOptions(options);
-  api::QueryRequest neg =
-      api::QueryRequest("nosuchkeywordanywhere").WithOptions(options);
-
-  // Warm both at t=0: deadlines land at +1000 (positive) / +100 (negative).
-  ASSERT_TRUE(service.Execute(pos).ok());
-  ASSERT_TRUE(service.Execute(neg).ok());
-  EXPECT_EQ(service.metrics().cache.misses, 2u);
-
-  // t=100: only the negative entry expired. Concurrent re-queries must
-  // produce exactly one recompute (the others coalesce or hit).
-  clock->AdvanceMicros(100);
-  EXPECT_TRUE(service.Execute(pos).stats.cache_hit) << "positive still live";
-  {
-    constexpr size_t kThreads = 4;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (size_t w = 0; w < kThreads; ++w) {
-      threads.emplace_back([&] {
-        api::QueryResponse r = service.Execute(neg);
-        if (!r.ok() || !r.stats.negative) ADD_FAILURE() << "bad neg answer";
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  Metrics after_neg = service.metrics();
-  EXPECT_EQ(after_neg.cache.misses, 3u);  // exactly one recompute
-  EXPECT_EQ(after_neg.cache.negative_ttl_expiries, 1u);
-  EXPECT_EQ(after_neg.cache.ttl_expiries, 0u);
-
-  // t=1000: the positive entry expired. Hold the recompute on the gate so
-  // the other callers are provably concurrent — still one compute.
-  clock->AdvanceMicros(900);
-  gated.CloseGate();
-  std::vector<api::QueryResponse> answers(3);
-  std::vector<std::thread> callers;
-  for (api::QueryResponse& answer : answers) {
-    callers.emplace_back([&] { answer = service.Execute(pos); });
-  }
-  gated.WaitUntilBlocked();
-  gated.OpenGate();
-  for (std::thread& t : callers) t.join();
-  for (const api::QueryResponse& r : answers) {
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(DeterministicResultText(r.result_list()),
-              DeterministicResultText(ctx.Query("databases", options)));
-  }
-  Metrics after_pos = service.metrics();
-  EXPECT_EQ(after_pos.cache.misses, 4u);  // exactly one recompute
-  EXPECT_EQ(after_pos.cache.ttl_expiries, 1u);
-
-  // Rebind invalidates instantly: the fresh positive entry had ~900us of
-  // TTL left and is unservable anyway.
-  search::SearchContext rebuilt = BuildDblpContext(f.d, &f.backend);
-  service.RebindContext(rebuilt);
-  api::QueryResponse after_rebind = service.Execute(pos);
-  ASSERT_TRUE(after_rebind.ok());
-  EXPECT_FALSE(after_rebind.stats.cache_hit);
-  EXPECT_EQ(after_rebind.stats.epoch, 1u);
-}
-
-TEST(QueryServicePolicy, SweepExpiredCacheDropsOnlyExpiredEntries) {
-  ScoredDblp f(SmallDblpConfig());
-  search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
-  auto clock = std::make_shared<FakeClock>();
-  ServiceOptions so = SmallService();
-  so.cache.clock = clock;
-  so.cache.policy.ttl_micros = 1000;
-  so.cache.policy.negative_ttl_micros = 100;
-  QueryService service(ctx, so);
-
-  ASSERT_TRUE(service.Execute(api::QueryRequest("databases")).ok());
-  ASSERT_TRUE(
-      service.Execute(api::QueryRequest("nosuchkeywordanywhere")).ok());
-  EXPECT_EQ(service.SweepExpiredCache(), 0u);
-  clock->AdvanceMicros(100);
-  EXPECT_EQ(service.SweepExpiredCache(), 1u);  // the negative entry
-  clock->AdvanceMicros(900);
-  EXPECT_EQ(service.SweepExpiredCache(), 1u);  // the positive entry
-  EXPECT_EQ(service.metrics().cache.entries, 0u);
-}
-
 // A request whose budget is already spent on arrival is answered
 // kDeadlineExceeded before the service spends anything on it — no cache
 // lookup, no backend I/O — even when a cached answer exists. ("No time is
@@ -881,7 +764,7 @@ TEST(QueryServiceOverload, ExpiredAtAdmissionShedsWithoutBackendWork) {
   ServiceOptions so = SmallService();
   so.cache.clock = clock;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   // Warm the key so "shed beats a ready cache hit" is what gets proven.
@@ -889,12 +772,9 @@ TEST(QueryServiceOverload, ExpiredAtAdmissionShedsWithoutBackendWork) {
   uint64_t fetches_after_warm = counting.fetches();
   uint64_t hits_after_warm = service.metrics().cache.hits;
 
-  std::vector<api::QueryRequest> requests;
-  requests.push_back(api::QueryRequest("databases").WithOptions(options));
-  std::vector<uint64_t> deadlines = {clock->NowMicros() - 1};
   BatchCollector collector(1);
-  service.SubmitBatch(std::move(requests), std::move(deadlines),
-                      collector.Sink());
+  service.Submit(api::QueryRequest("databases").WithOptions(options),
+                 clock->NowMicros() - 1, collector.Sink(0));
   collector.Wait();
 
   EXPECT_EQ(collector.response(0).status.code(),
@@ -923,15 +803,14 @@ TEST(QueryServiceOverload, WatermarkShedsLowestBudgetFirst) {
   so.cache.clock = clock;
   so.overload.max_pending_misses = 2;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   const uint64_t now = clock->NowMicros();
 
   auto submit_one = [&](const char* q, uint64_t deadline,
                         BatchCollector* collector) {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
-    service.SubmitBatch(std::move(requests), {deadline}, collector->Sink());
+    service.Submit(api::QueryRequest(q).WithOptions(options), deadline,
+                   collector->Sink(0));
   };
 
   // Park the single worker on a deadline-less miss so subsequent misses
@@ -983,14 +862,13 @@ TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
   so.cache.clock = clock;
   so.overload.max_pending_misses = 1;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   auto submit_one = [&](const char* q, uint64_t deadline,
                         BatchCollector* collector) {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(api::QueryRequest(q).WithOptions(options));
-    service.SubmitBatch(std::move(requests), {deadline}, collector->Sink());
+    service.Submit(api::QueryRequest(q).WithOptions(options), deadline,
+                   collector->Sink(0));
   };
 
   gated.CloseGate();
@@ -1027,28 +905,20 @@ TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   so.cache.num_shards = 2;
   so.cache.clock = clock;
   QueryService service(ctx, so);
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
 
   gated.CloseGate();
   uint64_t fetches_before = counting.fetches();
   BatchCollector blocker(1);
-  {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(Req("faloutsos", options));
-    service.SubmitBatch(std::move(requests), {}, blocker.Sink());
-  }
+  service.Submit(Req("faloutsos", options), 0, blocker.Sink(0));
   gated.WaitUntilBlocked();
 
   // Queue a miss with a 1ms budget, then burn the budget while it waits
   // behind the parked worker.
   BatchCollector doomed(1);
-  {
-    std::vector<api::QueryRequest> requests;
-    requests.push_back(Req("databases", options));
-    service.SubmitBatch(std::move(requests), {clock->NowMicros() + 1'000},
-                        doomed.Sink());
-  }
+  service.Submit(Req("databases", options), clock->NowMicros() + 1'000,
+                 doomed.Sink(0));
   clock->AdvanceMicros(2'000);
   gated.OpenGate();
   blocker.Wait();
@@ -1091,8 +961,6 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   m.cache.epoch = 2;
   m.cache.admission_rejects = 6;
   m.cache.tracked_sightings = 2;
-  m.cache.ttl_expiries = 8;
-  m.cache.negative_ttl_expiries = 9;
   m.sheds_at_admission = 3;
   m.sheds_at_dequeue = 1;
   m.pending_misses = 2;
@@ -1111,8 +979,7 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   EXPECT_EQ(FormatMetricsReport(m),
             "queries 7 | hits 4 (1 negative), misses 3, coalesced 2 | "
             "entries 3 (~4096 bytes), evictions 5, epoch 2\n"
-            "policy: admission rejects 6 (2 tracked), ttl expiries "
-            "8 positive + 9 negative\n"
+            "policy: admission rejects 6 (2 tracked)\n"
             "overload: sheds 3 at admission + 1 at dequeue, "
             "2 misses pending\n"
             "partials: hits 12, misses 9, inserts 8 (1 discarded), "
@@ -1124,7 +991,7 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
 }
 
 // TSan canary for the full serving stack: many driver threads hammer one
-// service (sync Execute + async SubmitBatch, overlapping keys) while the
+// service (sync Execute + async Submit, overlapping keys) while the
 // pool computes misses. Verifies every answer against precomputed goldens.
 TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   ScoredDblp f(SmallDblpConfig());
@@ -1136,7 +1003,7 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
   so.cache.max_entries = 16;  // small: force concurrent eviction too
   QueryService service(ctx, so);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = 8;
   options.max_results = 3;
   std::vector<std::string> mix = {"faloutsos",  "databases", "mining",
@@ -1164,15 +1031,15 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
     drivers.emplace_back([&, w] {
       for (int round = 0; round < kRounds; ++round) {
         size_t qi = (round + w) % mix.size();
-        // One sync Execute and a three-request async batch per round, on
-        // the same cache and pool.
+        // One sync Execute and three async Submits per round, on the same
+        // cache and pool.
         check(qi, service.Execute(Req(mix[qi], options)));
         std::vector<api::QueryRequest> batch;
         for (size_t k = 1; k <= kBatch; ++k) {
           batch.push_back(Req(mix[(qi + k) % mix.size()], options));
         }
         std::vector<api::QueryResponse> answers =
-            SubmitAndWait(service, std::move(batch));
+            SubmitAndWait(service, batch);
         for (size_t k = 1; k <= kBatch; ++k) {
           check((qi + k) % mix.size(), answers[k - 1]);
         }

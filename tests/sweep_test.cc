@@ -60,7 +60,7 @@ TEST_P(PipelineSweepTest, QueryYieldsValidNearOptimalSelections) {
   const SweepCase c = GetParam();
   Instance* inst = GetInstance(c.setting_index);
 
-  search::QueryOptions options;
+  api::QueryOptions options;
   options.l = c.l;
   options.algorithm = c.algorithm;
   auto results = inst->ctx->Query("faloutsos", options);
