@@ -15,12 +15,12 @@
 //      request must still succeed, all counted.
 //   4. overload: a dedicated server with a FakeClock and a gated backend —
 //      the single worker parks on a deadline-less blocker while
-//      tight-deadline misses pile into the pending queue past the
-//      watermark (lowest-budget-first admission sheds), the clock jumps
-//      past the tight budgets (dequeue sheds), and a generous-deadline
-//      request rides it all out and completes. Every shed count is decided
-//      by the deterministic shedding logic against a frozen clock, not by
-//      machine timing.
+//      tight-deadline misses queue behind it (within the server's
+//      inflight window, the one bound on queued work), the clock jumps
+//      past the tight budgets, and every tight is shed when the worker
+//      dequeues it; a generous-deadline request rides it all out and
+//      completes. Every shed count is decided by the deadline checks
+//      against a frozen clock, not by machine timing.
 //
 // The request/response counts (requests_sent, responses_ok,
 // malformed_rejects, the overload section's sheds_at_admission /
@@ -29,8 +29,12 @@
 // machine-independent: the same on every box, so bench/baselines/
 // bench_net.json gates them strictly under OSUM_PERF_LANE while the
 // timing rows stay report-only. The bench FAILS (exit 1) if any response
-// goes missing, any valid request fails, or any garbage frame is not
-// rejected — it is an end-to-end acceptance harness as much as a bench.
+// goes missing, any valid request fails, any garbage frame is not
+// rejected, or a ledger does not reconcile at a server's shutdown
+// (frames_in == responses_out + dropped_responses on both servers; on the
+// overload server, sheds at admission + at dequeue == responses answered
+// kDeadlineExceeded) — it is an end-to-end acceptance harness as much as
+// a bench.
 //
 // Flags: --json <path> (bench::JsonReport rows), --tiny (CI smoke sizes).
 #include <algorithm>
@@ -314,30 +318,26 @@ struct OverloadResult {
   uint64_t responses_deadline_exceeded = 0;
   uint64_t responses_ok = 0;
   bool drained = false;
-  uint64_t dropped = 0;
+  net::ServerStats server;  // after Shutdown
   bool infra_ok = false;  // sends/receives all succeeded at the wire level
 };
 
 /// The overload section. Every count below is decided by the service's
-/// deterministic shedding logic against a frozen FakeClock, so the rows
-/// gate strictly across machines:
-///   - `watermark` tights with strictly increasing (still-tight) budgets
-///     fill the pending queue; each later arrival displaces the
-///     earliest-deadline victim, and the generous request displaces one
-///     more -> sheds_at_admission = tights - watermark + 1.
-///   - the clock jumps past every tight budget; the queued survivors are
-///     shed when the worker dequeues them -> sheds_at_dequeue =
-///     watermark - 1.
+/// deadline checks against a frozen FakeClock, so the rows gate strictly
+/// across machines:
+///   - `tights` misses with tight budgets queue behind the parked worker
+///     (none is expired on arrival -> sheds_at_admission = 0);
+///   - the clock jumps past every tight budget, so each is shed when the
+///     worker dequeues it -> sheds_at_dequeue = tights;
 ///   - the deadline-less blocker and the generous request both complete.
 OverloadResult RunOverload(search::SearchContext& context, GatedBackend* gate,
-                           size_t watermark, size_t tights) {
+                           size_t tights) {
   OverloadResult result;
   auto clock = std::make_shared<serve::FakeClock>();
   serve::ServiceOptions service_options;
   service_options.num_threads = 1;  // one worker: the pool the blocker parks
   service_options.cache.num_shards = 2;
   service_options.cache.clock = clock;
-  service_options.overload.max_pending_misses = watermark;
   serve::QueryService service(context, service_options);
   net::Server server(&service);
   if (!server.Start().ok()) return result;
@@ -350,9 +350,8 @@ OverloadResult RunOverload(search::SearchContext& context, GatedBackend* gate,
   }
 
   // Park the worker on a deadline-less miss, then pipeline the tights
-  // (distinct cache keys, deadlines strictly increasing so the watermark
-  // victim is always the earliest arrival — no tie-breaks) and one
-  // generous request that must survive the clock jump.
+  // (distinct cache keys) and one generous request that must survive the
+  // clock jump.
   gate->CloseGate();
   if (!client->Send(api::QueryRequest("faloutsos").WithL(10)).ok()) {
     return result;
@@ -363,7 +362,7 @@ OverloadResult RunOverload(search::SearchContext& context, GatedBackend* gate,
              ->Send(api::QueryRequest("databases")
                         .WithL(8)
                         .WithMaxResults(1 + i)
-                        .WithDeadlineMicros(1'000 + 10 * i))
+                        .WithDeadlineMicros(1'000))
              .ok()) {
       return result;
     }
@@ -374,14 +373,11 @@ OverloadResult RunOverload(search::SearchContext& context, GatedBackend* gate,
            .ok()) {
     return result;
   }
-  // Admission decisions happen on the server's loop thread; wait for the
-  // whole burst to be admitted-or-shed before burning the budgets.
-  const uint64_t expected_admission_sheds =
-      static_cast<uint64_t>(tights - watermark + 1);
-  for (int i = 0;
-       i < 12'000 && service.metrics().sheds_at_admission <
-                         expected_admission_sheds;
-       ++i) {
+  // The loop thread dispatches one connection's frames in order, each
+  // stamped and submitted before the next is counted: once the generous
+  // request is counted, every tight is queued with its deadline stamped
+  // on the unmoved clock.
+  for (int i = 0; i < 12'000 && server.stats().frames_in < tights + 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   clock->AdvanceMicros(1'000'000);  // > every tight budget, << the generous
@@ -403,13 +399,26 @@ OverloadResult RunOverload(search::SearchContext& context, GatedBackend* gate,
   }
   client->Close();
   result.drained = server.Shutdown();
-  net::ServerStats stats = server.stats();
-  result.dropped = stats.dropped_responses;
+  result.server = server.stats();
   serve::Metrics metrics = service.metrics();
   result.sheds_at_admission = metrics.sheds_at_admission;
   result.sheds_at_dequeue = metrics.sheds_at_dequeue;
   result.infra_ok = true;
   return result;
+}
+
+/// The frame ledger of a drained server: frames_in == responses_out +
+/// dropped_responses. Prints the mismatch and returns false when it fails.
+bool FrameLedgerHolds(const char* name, const net::ServerStats& stats) {
+  if (stats.frames_in == stats.responses_out + stats.dropped_responses) {
+    return true;
+  }
+  std::printf("FAIL: %s frame ledger: frames_in %llu != responses_out %llu "
+              "+ dropped_responses %llu\n",
+              name, static_cast<unsigned long long>(stats.frames_in),
+              static_cast<unsigned long long>(stats.responses_out),
+              static_cast<unsigned long long>(stats.dropped_responses));
+  return false;
 }
 
 }  // namespace
@@ -517,7 +526,6 @@ int main(int argc, char** argv) {
            static_cast<double>(wire.valid_ok));
 
   // 4. Deterministic overload section (own server, FakeClock, gated pool).
-  const size_t overload_watermark = tiny ? 4 : 8;
   const size_t overload_tights = tiny ? 16 : 32;
   GatedBackend gate(&backend);
   std::vector<search::SearchContext::Subject> overload_subjects;
@@ -525,13 +533,11 @@ int main(int argc, char** argv) {
   overload_subjects.push_back({d.paper, datasets::DblpPaperGds(d)});
   search::SearchContext overload_ctx = search::SearchContext::Build(
       d.db, &gate, std::move(overload_subjects));
-  OverloadResult overload =
-      RunOverload(overload_ctx, &gate, overload_watermark, overload_tights);
-  util::PrintHeading(
-      std::cout, "overload (" + std::to_string(overload_tights) +
-                     " tight-deadline misses vs watermark " +
-                     std::to_string(overload_watermark) +
-                     ", frozen clock, 1 worker)");
+  OverloadResult overload = RunOverload(overload_ctx, &gate, overload_tights);
+  util::PrintHeading(std::cout, "overload (" +
+                                    std::to_string(overload_tights) +
+                                    " tight-deadline misses behind a parked "
+                                    "worker, frozen clock, 1 worker)");
   util::TablePrinter overload_table({"metric", "value"});
   overload_table.AddRow({"sheds at admission",
                          std::to_string(overload.sheds_at_admission)});
@@ -592,33 +598,45 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.dropped_responses));
     return 1;
   }
-  // Overload section: every count is fixed by the deterministic shedding
-  // logic — tights-watermark+1 admission sheds (each later tight and the
-  // generous request displace the earliest-deadline victim), watermark-1
-  // dequeue sheds (the queued survivors after the clock jump), and exactly
-  // the blocker plus the generous request complete.
-  const uint64_t want_admission =
-      static_cast<uint64_t>(overload_tights - overload_watermark + 1);
-  const uint64_t want_dequeue =
-      static_cast<uint64_t>(overload_watermark - 1);
-  if (!overload.infra_ok || !overload.drained || overload.dropped != 0 ||
-      overload.sheds_at_admission != want_admission ||
+  // Overload section: every count is fixed by the deadline checks — no
+  // tight is expired on arrival, every tight is shed at dequeue after the
+  // clock jump, and exactly the blocker plus the generous request
+  // complete.
+  const uint64_t want_dequeue = static_cast<uint64_t>(overload_tights);
+  if (!overload.infra_ok || !overload.drained ||
+      overload.server.dropped_responses != 0 ||
+      overload.sheds_at_admission != 0 ||
       overload.sheds_at_dequeue != want_dequeue ||
-      overload.responses_deadline_exceeded !=
-          static_cast<uint64_t>(overload_tights) ||
+      overload.responses_deadline_exceeded != want_dequeue ||
       overload.responses_ok != 2) {
     std::printf(
-        "FAIL: overload section: admission %llu/%llu, dequeue %llu/%llu, "
+        "FAIL: overload section: admission %llu/0, dequeue %llu/%llu, "
         "deadline_exceeded %llu/%llu, ok %llu/2, drained=%d, dropped=%llu\n",
         static_cast<unsigned long long>(overload.sheds_at_admission),
-        static_cast<unsigned long long>(want_admission),
         static_cast<unsigned long long>(overload.sheds_at_dequeue),
         static_cast<unsigned long long>(want_dequeue),
         static_cast<unsigned long long>(overload.responses_deadline_exceeded),
-        static_cast<unsigned long long>(overload_tights),
+        static_cast<unsigned long long>(want_dequeue),
         static_cast<unsigned long long>(overload.responses_ok),
         overload.drained ? 1 : 0,
-        static_cast<unsigned long long>(overload.dropped));
+        static_cast<unsigned long long>(overload.server.dropped_responses));
+    return 1;
+  }
+  // Ledgers, checked at each server's shutdown: every frame got exactly
+  // one response (delivered or counted dropped), and on the overload
+  // server every service-side shed reached the wire as kDeadlineExceeded.
+  if (!FrameLedgerHolds("main server", stats) ||
+      !FrameLedgerHolds("overload server", overload.server)) {
+    return 1;
+  }
+  if (overload.sheds_at_admission + overload.sheds_at_dequeue !=
+      overload.server.responses_deadline_exceeded) {
+    std::printf("FAIL: overload server shed ledger: %llu at admission + "
+                "%llu at dequeue != %llu responses deadline_exceeded\n",
+                static_cast<unsigned long long>(overload.sheds_at_admission),
+                static_cast<unsigned long long>(overload.sheds_at_dequeue),
+                static_cast<unsigned long long>(
+                    overload.server.responses_deadline_exceeded));
     return 1;
   }
   std::printf("PASS: %llu/%llu responses delivered, %llu/%llu garbage "

@@ -254,7 +254,7 @@ void RunCommand(Session& session, const std::string& line) {
     }
     std::printf("[%s%s, %.1f us, epoch %llu] %zu result(s)\n",
                 response.stats.cache_hit ? "HIT" : "MISS",
-                response.stats.negative ? " neg" : "",
+                response.result_list().empty() ? " neg" : "",
                 response.stats.compute_micros,
                 static_cast<unsigned long long>(response.stats.epoch),
                 response.result_list().size());
@@ -496,7 +496,7 @@ void RunCommand(Session& session, const std::string& line) {
     }
     std::printf("[%s%s, rtt %.1f us over tcp] %zu result(s)\n",
                 response.stats.cache_hit ? "HIT" : "MISS",
-                response.stats.negative ? " neg" : "", rtt_us,
+                response.result_list().empty() ? " neg" : "", rtt_us,
                 response.result_list().size());
     for (const auto& r : response.result_list()) {
       std::printf("  importance %.2f, |OS|=%zu, selection %zu node(s)\n",

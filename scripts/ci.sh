@@ -67,7 +67,11 @@ if [[ "${OSUM_PERF_LANE:-0}" == "1" ]]; then
   # rows are machine-independent and gate near-exactly. The target only
   # exists when google-benchmark is installed; skipping on machines
   # without it is explicit, never a silent compile-failure swallow.
-  if cmake --build build-release --target help | grep -q 'bench_micro'; then
+  # grep reads the whole target listing (no -q): exiting at the first
+  # match would SIGPIPE the build tool, which pipefail reports as failure,
+  # i.e. as "target missing".
+  if cmake --build build-release --target help |
+      grep 'bench_micro' >/dev/null; then
     echo "==== perf lane: full-size bench_micro vs baseline (--strict) ===="
     cmake --build build-release -j "${JOBS}" --target bench_micro
     micro_json="build-release/bench_micro_perf.json"

@@ -182,11 +182,6 @@ struct QueryStats {
   /// True when the results came from serve::ResultCache (including
   /// coalesced waits on an in-flight computation).
   bool cache_hit = false;
-  /// True when the answer is negative (OK, zero results) — with cache_hit
-  /// it distinguishes a negative-cache hit from a positive one. Serving-
-  /// local observability, deliberately NOT part of the v1 wire format
-  /// (it is derivable from status + results on the receiving side).
-  bool negative = false;
   /// Wall time spent producing this response at the answering boundary
   /// (full compute on a miss, lookup cost on a hit).
   double compute_micros = 0.0;

@@ -17,6 +17,9 @@
 namespace osum::net {
 namespace {
 
+constexpr int kListenBacklog = 128;
+constexpr int kDrainTimeoutMs = 30'000;  // Shutdown()'s graceful-drain budget
+
 api::Status Errno(const char* what) {
   return api::Status::Internal(std::string(what) + ": " +
                                std::strerror(errno));
@@ -55,7 +58,7 @@ api::Status Server::Start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
-      ::listen(listen_fd_, options_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     api::Status status = Errno("bind/listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -108,7 +111,7 @@ bool Server::Shutdown() {
     // either way, per the usual condvar contract.
     util::MutexLock lock(drain_mu_);
     const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.drain_timeout_ms);
+                          std::chrono::milliseconds(kDrainTimeoutMs);
     while (!drain_idle_) {
       if (!drain_cv_.WaitUntil(drain_mu_, deadline)) break;
     }
@@ -325,11 +328,12 @@ void Server::DispatchFrame(Connection* conn, const std::string& payload) {
                                                     api::QueryStats()))));
     return;
   }
-  // The deadline becomes absolute here, at dispatch: time a request spent
-  // waiting for its round-robin turn is already gone from its budget.
+  // The deadline becomes absolute here, at dispatch (saturating, never
+  // wrapping): time spent waiting for a round-robin turn is budget spent.
   uint64_t deadline = 0;
-  if (decoded->deadline_micros() != 0) {
-    deadline = service_->clock()->NowMicros() + decoded->deadline_micros();
+  if (const uint64_t budget = decoded->deadline_micros(); budget != 0) {
+    const uint64_t now = service_->clock()->NowMicros();
+    deadline = budget > UINT64_MAX - now ? UINT64_MAX : now + budget;
   }
   ++inflight_requests_;
   const uint64_t id = conn->id;

@@ -41,9 +41,9 @@
 // reassembler awaiting its round-robin turn — has been answered AND its
 // response bytes fully written, and only then stop the loop. Requests
 // still half-buffered in a reassembler are abandoned by design ("drain"
-// means finish what was accepted, not read more). A peer that refuses to drain
-// its socket forfeits after drain_timeout_ms and its undelivered
-// responses are counted, not silently lost.
+// means finish what was accepted, not read more). A peer that refuses to
+// drain its socket forfeits after 30 s (kDrainTimeoutMs) and its
+// undelivered responses are counted, not silently lost.
 #ifndef OSUM_NET_SERVER_H_
 #define OSUM_NET_SERVER_H_
 
@@ -71,7 +71,6 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via Server::port().
   uint16_t port = 0;
-  int listen_backlog = 128;
   /// Framing violation threshold (see net/frame.h).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Queued-response bytes per connection above which reads pause.
@@ -79,14 +78,11 @@ struct ServerOptions {
   /// Queued-response bytes per connection above which the peer is
   /// declared too slow and disconnected (the OOM guard).
   size_t outbound_hard_cap = 32u << 20;
-  /// Graceful-drain budget for Shutdown(); afterwards remaining
-  /// connections are closed and their undelivered responses counted.
-  int drain_timeout_ms = 30'000;
-  /// Server-wide cap on requests dispatched into the service but not yet
-  /// answered. Beyond it, decoded-but-undispatched frames wait in their
-  /// connection's reassembler and the round-robin resumes as responses
-  /// complete — the window that makes per-connection fairness real
-  /// (without it, one firehose could still fill the pool's queue).
+  /// Server-wide cap on requests dispatched into the service and not yet
+  /// answered: the one bound on the service's queued work, and what makes
+  /// round-robin fairness real (one firehose cannot fill the pool's
+  /// queue). Beyond it, decoded frames wait in their connection's
+  /// reassembler until responses complete.
   size_t max_inflight_requests = 256;
 };
 
@@ -140,9 +136,8 @@ class Server {
     return port_;
   }
 
-  /// Graceful drain then stop; idempotent. Returns true when every
-  /// in-flight request drained within drain_timeout_ms, false when
-  /// remaining connections were forcibly closed.
+  /// Graceful drain then stop; idempotent. False when the 30 s drain
+  /// budget ran out and remaining connections were forcibly closed.
   bool Shutdown();
 
   ServerStats stats() const;

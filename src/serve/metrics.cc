@@ -26,11 +26,9 @@ std::string FormatMetricsReport(const Metrics& m) {
   append("policy: admission rejects %llu (%llu tracked)\n",
          static_cast<unsigned long long>(m.cache.admission_rejects),
          static_cast<unsigned long long>(m.cache.tracked_sightings));
-  append("overload: sheds %llu at admission + %llu at dequeue, "
-         "%llu misses pending\n",
+  append("overload: sheds %llu at admission + %llu at dequeue\n",
          static_cast<unsigned long long>(m.sheds_at_admission),
-         static_cast<unsigned long long>(m.sheds_at_dequeue),
-         static_cast<unsigned long long>(m.pending_misses));
+         static_cast<unsigned long long>(m.sheds_at_dequeue));
   append("partials: hits %llu, misses %llu, inserts %llu "
          "(%llu discarded), evictions %llu | entries %llu (~%llu bytes), "
          "epoch %llu\n",

@@ -1,7 +1,8 @@
 // Observability snapshots for the serving layer.
 //
 // Counters answer "is the cache earning its memory?" (hit rate, coalesced
-// stampedes, eviction pressure, admission rejects) and the
+// stampedes, eviction pressure, admission rejects) and "how much work was
+// shed?" (deadline sheds at admission and at dequeue), and the
 // latency summaries answer "what do callers actually experience?" — split
 // by hit/miss because the two populations differ by orders of magnitude (a
 // hit is a mutex + pointer copy; a miss is full OS generation, ~65x more
@@ -61,16 +62,12 @@ struct Metrics {
   /// and shed requests never reach it. The latency summaries sample
   /// successful answers only.
   uint64_t queries = 0;
-  /// Overload control (see OverloadOptions): requests answered
-  /// kDeadlineExceeded at admission — budget already spent on arrival, or
-  /// evicted lowest-budget-first by the pending-miss watermark — and at
-  /// dequeue (budget expired while queued behind the pool). Neither ever
-  /// touched the backend.
+  /// Requests answered kDeadlineExceeded because their deadline had
+  /// passed: at admission (before the cache lookup) and at dequeue (after
+  /// waiting behind the pool, before compute). Neither touched the
+  /// backend.
   uint64_t sheds_at_admission = 0;
   uint64_t sheds_at_dequeue = 0;
-  /// Pooled misses admitted but not yet computing (current occupancy —
-  /// the quantity the watermark bounds).
-  uint64_t pending_misses = 0;
   util::Summary latency_us;           // all queries
   util::Summary hit_latency_us;       // served from cache (incl. coalesced)
   util::Summary negative_hit_latency_us;  // hits that were OK-empty answers

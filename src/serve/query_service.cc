@@ -49,79 +49,13 @@ QueryService::PinnedContext::~PinnedContext() {
 
 QueryService::QueryService(const search::SearchContext& context,
                            ServiceOptions options)
-    : options_(options),
-      clock_(options.cache.clock != nullptr
+    : clock_(options.cache.clock != nullptr
                  ? options.cache.clock
                  : std::shared_ptr<const Clock>(SystemClock::Instance())),
       binding_(new Binding{&context, 0}),
       cache_(options.cache),
       pool_(options.num_threads == 0 ? util::ThreadPool::HardwareThreads()
                                      : options.num_threads) {}
-
-bool QueryService::AdmitMiss(uint64_t deadline,
-                             std::shared_ptr<MissTicket>* ticket_out) {
-  util::MutexLock lock(pending_mu_);
-  const size_t watermark = options_.overload.max_pending_misses;
-  if (watermark != 0 && pending_misses_ >= watermark) {
-    // Shed lowest-budget-first: the earliest absolute deadline goes.
-    // Deadline-less work has infinite budget, so a finite-budget request
-    // never displaces it — and when nothing pending carries a deadline,
-    // the newcomer (finite or not, it is the youngest claim on a full
-    // queue) is the victim.
-    auto earliest = deadline_queue_.begin();
-    if (earliest == deadline_queue_.end() ||
-        (deadline != 0 && deadline <= earliest->first)) {
-      ++sheds_at_admission_;
-      return false;
-    }
-    earliest->second->shed = true;
-    earliest->second->in_queue = false;
-    deadline_queue_.erase(earliest);
-    --pending_misses_;
-    ++sheds_at_admission_;
-  }
-  auto ticket = std::make_shared<MissTicket>();
-  ticket->deadline = deadline;
-  if (deadline != 0) {
-    ticket->it = deadline_queue_.emplace(deadline, ticket);
-    ticket->in_queue = true;
-  }
-  ++pending_misses_;
-  *ticket_out = std::move(ticket);
-  return true;
-}
-
-QueryService::MissGate QueryService::BeginMiss(
-    const std::shared_ptr<MissTicket>& ticket) {
-  {
-    util::MutexLock lock(pending_mu_);
-    if (ticket->shed) {
-      // A watermark victim: de-registered and counted by the shedder.
-      return MissGate::kShedByWatermark;
-    }
-    if (ticket->in_queue) {
-      deadline_queue_.erase(ticket->it);
-      ticket->in_queue = false;
-    }
-    --pending_misses_;
-  }
-  if (ticket->deadline != 0 && clock_->NowMicros() >= ticket->deadline) {
-    util::MutexLock lock(pending_mu_);
-    ++sheds_at_dequeue_;
-    return MissGate::kExpiredInQueue;
-  }
-  return MissGate::kProceed;
-}
-
-void QueryService::AbandonMiss(const std::shared_ptr<MissTicket>& ticket) {
-  util::MutexLock lock(pending_mu_);
-  if (ticket->shed) return;  // the shedder already de-registered it
-  if (ticket->in_queue) {
-    deadline_queue_.erase(ticket->it);
-    ticket->in_queue = false;
-  }
-  --pending_misses_;
-}
 
 api::QueryResponse QueryService::FailureResponse(api::Status status) const {
   api::QueryStats stats;
@@ -158,7 +92,6 @@ api::QueryResponse QueryService::ExecuteWithKey(
     stats.compute_micros = timer.ElapsedMicros();
     RecordQuery(result.get(), /*hit=*/!computed, stats.compute_micros);
     stats.cache_hit = !computed;
-    stats.negative = result->negative();
     stats.epoch = cache_.epoch();
     return api::QueryResponse::Success(AliasResults(result), stats);
   } catch (const std::exception& e) {
@@ -189,10 +122,7 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
   // "no time is spent on work nobody is waiting for", not "answer if
   // cheap".
   if (deadline_micros != 0 && clock_->NowMicros() >= deadline_micros) {
-    {
-      util::MutexLock lock(pending_mu_);
-      ++sheds_at_admission_;
-    }
+    sheds_at_admission_.fetch_add(1, std::memory_order_relaxed);
     on_done(ShedResponse("deadline expired at admission"));
     return;
   }
@@ -201,46 +131,27 @@ void QueryService::Submit(api::QueryRequest request, uint64_t deadline_micros,
     stats.compute_micros = timer.ElapsedMicros();
     RecordQuery(hit.get(), /*hit=*/true, stats.compute_micros);
     stats.cache_hit = true;
-    stats.negative = hit->negative();
     stats.epoch = cache_.epoch();
     on_done(api::QueryResponse::Success(AliasResults(hit), stats));
     return;
   }
-  // Miss: the pending-miss watermark may shed this request now (it has
-  // the lowest budget of everything queued) or evict a lower-budget
-  // pending miss to make room.
-  std::shared_ptr<MissTicket> ticket;
-  if (!AdmitMiss(deadline_micros, &ticket)) {
-    on_done(ShedResponse("shed at admission: pool over watermark, "
-                         "lowest budget first"));
-    return;
-  }
-  // Compute on the pool. ExecuteWithKey never throws and on_done must
-  // not, so the task honors the pool's no-throw contract. BeginMiss
-  // re-checks the budget at dequeue — time queued behind a backed-up
-  // pool counts.
+  // Miss: compute on the pool. ExecuteWithKey never throws and on_done
+  // must not, so the task honors the pool's no-throw contract. The budget
+  // is re-checked at dequeue — time queued behind a backed-up pool counts.
   bool submitted = pool_.Submit(
-      [this, request = std::move(request), key = std::move(*key), ticket,
-       on_done] {
-        switch (BeginMiss(ticket)) {
-          case MissGate::kShedByWatermark:
-            on_done(ShedResponse("shed while queued: pool over "
-                                 "watermark, lowest budget first"));
-            return;
-          case MissGate::kExpiredInQueue:
-            on_done(ShedResponse("deadline expired while queued"));
-            return;
-          case MissGate::kProceed:
-            break;
+      [this, request = std::move(request), key = std::move(*key),
+       deadline_micros, on_done] {
+        if (deadline_micros != 0 && clock_->NowMicros() >= deadline_micros) {
+          sheds_at_dequeue_.fetch_add(1, std::memory_order_relaxed);
+          on_done(ShedResponse("deadline expired while queued"));
+          return;
         }
         on_done(ExecuteWithKey(request, key));
       });
   if (!submitted) {
     // Pool already stopped (teardown): every request is still answered
     // exactly once — a dropped callback would wedge the front end's
-    // drain accounting forever. The never-run task also never consumes
-    // its ticket, so roll the registration back here.
-    AbandonMiss(ticket);
+    // drain accounting forever.
     on_done(FailureResponse(api::Status::Internal("service shutting down")));
   }
 }
@@ -298,12 +209,8 @@ Metrics QueryService::metrics() const {
     util::MutexLock lock(context_mu_);
     m.partials = binding_->ctx->partials_memo().metrics();
   }
-  {
-    util::MutexLock lock(pending_mu_);
-    m.sheds_at_admission = sheds_at_admission_;
-    m.sheds_at_dequeue = sheds_at_dequeue_;
-    m.pending_misses = pending_misses_;
-  }
+  m.sheds_at_admission = sheds_at_admission_.load(std::memory_order_relaxed);
+  m.sheds_at_dequeue = sheds_at_dequeue_.load(std::memory_order_relaxed);
   util::MutexLock lock(latency_mu_);
   m.queries = queries_;
   m.latency_us = all_latency_.Snapshot();

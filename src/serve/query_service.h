@@ -13,7 +13,12 @@
 //     the TCP front end (net::Server) drives, one call per decoded frame:
 //     invalid requests, expired budgets and cache hits are answered inline,
 //     misses run on the service's pool, and concurrent misses for one key
-//     coalesce onto one computation.
+//     coalesce onto one computation. A request whose deadline has passed
+//     is shed (kDeadlineExceeded, no backend work) at one of two points:
+//     at admission, before the cache lookup, or when its pooled miss is
+//     dequeued, before compute. The service itself does not cap its pool
+//     queue; the caller does (net::Server's max_inflight_requests window
+//     bounds every request it has dispatched and not yet seen answered).
 // Both share one ResultCache keyed by api::CanonicalQueryKey, so skewed
 // workloads — the realistic shape of keyword traffic — collapse onto one
 // computation per distinct (keyword set, options) pair.
@@ -37,10 +42,10 @@
 #ifndef OSUM_SERVE_QUERY_SERVICE_H_
 #define OSUM_SERVE_QUERY_SERVICE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,19 +61,6 @@
 
 namespace osum::serve {
 
-/// Overload-control knobs. The service converts each request's relative
-/// `deadline_micros` budget into an absolute deadline at admission (via
-/// the same injectable Clock the cache policies use) and sheds work that
-/// cannot be answered in time — before it ever touches the backend.
-struct OverloadOptions {
-  /// High watermark on pooled misses (admitted but not yet computing).
-  /// When an arriving miss finds this many already pending, the
-  /// lowest-budget request (earliest absolute deadline; deadline-less
-  /// work has infinite budget and is never the victim over finite-budget
-  /// work) is shed with kDeadlineExceeded. 0 = unlimited.
-  size_t max_pending_misses = 0;
-};
-
 /// The per-(subject, l) partials memo under the result cache is
 /// configured on each SearchContext (SearchContext::partials_memo()), not
 /// here: the service flushes it on rebind but never resizes it.
@@ -76,7 +68,6 @@ struct ServiceOptions {
   /// Worker threads for Submit misses. 0 = hardware concurrency.
   size_t num_threads = 0;
   ResultCacheOptions cache;
-  OverloadOptions overload;
 };
 
 class QueryService {
@@ -112,7 +103,8 @@ class QueryService {
   /// without touching the cache or backend (metrics().sheds_at_admission);
   /// a miss whose deadline expires while queued behind the pool is
   /// answered the same way when dequeued, before compute
-  /// (metrics().sheds_at_dequeue).
+  /// (metrics().sheds_at_dequeue). Every miss is queued: the bound on how
+  /// many is the caller's (see the file comment).
   ///
   /// The request is answered exactly once: if the pool has already
   /// stopped (service teardown), a miss is answered inline with kInternal
@@ -126,9 +118,6 @@ class QueryService {
   /// previous context is unreferenced by the service and no cached result
   /// computed against it can be served; the caller may then destroy it.
   void RebindContext(const search::SearchContext& context);
-
-  /// Drops cached entries without invalidating (memory relief).
-  void ClearCache() { cache_.Clear(); }
 
   /// The currently bound context. The reference itself is not pinned —
   /// it stays valid only under the caller's own lifetime coordination
@@ -193,42 +182,6 @@ class QueryService {
   api::QueryResponse ExecuteWithKey(const api::QueryRequest& request,
                                     const std::string& key);
 
-  /// One admitted-but-not-started pooled miss. Lives in the pending
-  /// registry between admission and dequeue so the watermark shedder can
-  /// pick a victim by deadline; all fields are guarded by pending_mu_
-  /// (by convention — tickets are shared heap objects, so the analysis
-  /// cannot bind their fields to the service's mutex; every access site
-  /// is inside a pending_mu_ critical section in this file).
-  struct MissTicket {
-    uint64_t deadline = 0;  // absolute micros; 0 = no deadline
-    bool shed = false;      // victim of a watermark shed (already counted)
-    bool in_queue = false;  // registered in deadline_queue_
-    std::multimap<uint64_t, std::shared_ptr<MissTicket>>::iterator it;
-  };
-
-  /// Why a pooled miss was not computed (BeginMiss result).
-  enum class MissGate {
-    kProceed,
-    kShedByWatermark,   // admission-time victim; counted there
-    kExpiredInQueue,    // deadline passed while queued; counts at dequeue
-  };
-
-  /// Admission side of the watermark: registers the miss as pending, or
-  /// sheds lowest-budget-first when max_pending_misses is hit. Returns
-  /// false when the NEW request is the victim (caller answers
-  /// kDeadlineExceeded inline); the admission-expiry check is the
-  /// caller's, before the cache lookup.
-  bool AdmitMiss(uint64_t deadline, std::shared_ptr<MissTicket>* ticket_out)
-      EXCLUDES(pending_mu_);
-
-  /// Dequeue side: unregisters the ticket and re-checks the budget.
-  MissGate BeginMiss(const std::shared_ptr<MissTicket>& ticket)
-      EXCLUDES(pending_mu_);
-
-  /// Rolls back AdmitMiss when the pool rejected the task (teardown).
-  void AbandonMiss(const std::shared_ptr<MissTicket>& ticket)
-      EXCLUDES(pending_mu_);
-
   /// A non-OK response stamped with the current cache epoch.
   api::QueryResponse FailureResponse(api::Status status) const;
   /// The kDeadlineExceeded response for a shed request.
@@ -241,19 +194,11 @@ class QueryService {
   void RecordQuery(const CachedResult* result, bool hit, double micros)
       EXCLUDES(latency_mu_);
 
-  const ServiceOptions options_;
   const std::shared_ptr<const Clock> clock_;
 
-  /// Pending pooled misses: count of everything admitted-not-started plus
-  /// a deadline-ordered index of the deadline-carrying subset (the
-  /// watermark shedder's victim queue). Shed counters live here too; all
-  /// guarded by pending_mu_.
-  mutable util::Mutex pending_mu_;
-  size_t pending_misses_ GUARDED_BY(pending_mu_) = 0;
-  std::multimap<uint64_t, std::shared_ptr<MissTicket>> deadline_queue_
-      GUARDED_BY(pending_mu_);
-  uint64_t sheds_at_admission_ GUARDED_BY(pending_mu_) = 0;
-  uint64_t sheds_at_dequeue_ GUARDED_BY(pending_mu_) = 0;
+  /// Requests answered kDeadlineExceeded, by shed point (see Submit).
+  std::atomic<uint64_t> sheds_at_admission_{0};
+  std::atomic<uint64_t> sheds_at_dequeue_{0};
 
   mutable util::Mutex context_mu_;
   mutable util::CondVar context_cv_;  // signaled when pins hit 0

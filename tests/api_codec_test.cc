@@ -251,8 +251,8 @@ TEST(ResponseCodec, RoundTripsEmptyAndErrorResponses) {
   // A genuine negative answer: OK status, zero results.
   QueryResponse empty = QueryResponse::Success(
       std::make_shared<ResultList>(),
-      QueryStats{/*cache_hit=*/false, /*negative=*/true,
-                 /*compute_micros=*/7.25, /*epoch=*/2});
+      QueryStats{/*cache_hit=*/false, /*compute_micros=*/7.25,
+                 /*epoch=*/2});
   ExpectRoundTrips(empty);
 
   // Failures (results null) encode as zero results and stay failures.

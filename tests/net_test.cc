@@ -692,7 +692,33 @@ TEST(NetOverload, TightDeadlinesShedWithoutComputeGenerousOnesSucceed) {
   serve::Metrics m = service.metrics();
   EXPECT_EQ(m.sheds_at_dequeue, kTight);
   EXPECT_EQ(m.sheds_at_admission, 0u);
-  EXPECT_EQ(m.pending_misses, 0u);
+}
+
+// The largest budget the wire carries (UINT64_MAX) must saturate when the
+// server makes it absolute, not wrap around to an instant in the past:
+// the request is answered normally and never shed at admission.
+TEST(NetOverload, MaxBudgetSaturatesInsteadOfWrappingIntoThePast) {
+  ScoredDblp dblp(SmallDblpConfig());
+  search::SearchContext context = BuildDblpContext(dblp.d, &dblp.backend);
+  serve::ServiceOptions so = SmallService();
+  so.cache.clock = std::make_shared<serve::FakeClock>();  // now > 0
+  serve::QueryService service(context, so);
+  Server server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  api::StatusOr<Client> client =
+      Client::Connect("127.0.0.1", server.port(), /*timeout_ms=*/30'000);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  ASSERT_TRUE(client
+                  ->Send(SmallRequest("faloutsos")
+                             .WithDeadlineMicros(UINT64_MAX))
+                  .ok());
+  api::StatusOr<api::QueryResponse> response = client->Receive();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->ok()) << response->status.ToString();
+  EXPECT_FALSE(response->result_list().empty());
+  EXPECT_EQ(service.metrics().sheds_at_admission, 0u);
+  EXPECT_EQ(server.stats().responses_deadline_exceeded, 0u);
 }
 
 // ---- half-close ----------------------------------------------------------

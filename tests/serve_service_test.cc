@@ -722,9 +722,9 @@ TEST(QueryServiceMetrics, LatencyReservoirsPopulate) {
   EXPECT_GT(m.miss_latency_us.Max(), 0.0);
 }
 
-// Negative answers (OK-empty) are first-class: flagged in QueryStats on
-// both the miss and the hit, attributed in the cache counters and in the
-// dedicated negative-hit latency reservoir.
+// Negative answers (OK-empty) are first-class: an OK response with no
+// results on both the miss and the hit, attributed in the cache counters
+// and in the dedicated negative-hit latency reservoir.
 TEST(QueryServicePolicy, NegativeHitsAttributedInStatsAndMetrics) {
   ScoredDblp f(SmallDblpConfig());
   search::SearchContext ctx = BuildDblpContext(f.d, &f.backend);
@@ -732,18 +732,17 @@ TEST(QueryServicePolicy, NegativeHitsAttributedInStatsAndMetrics) {
   api::QueryRequest none = api::QueryRequest("nosuchkeywordanywhere");
 
   api::QueryResponse miss = service.Execute(none);
-  ASSERT_TRUE(miss.ok());
-  EXPECT_TRUE(miss.stats.negative);
+  EXPECT_TRUE(miss.ok() && miss.result_list().empty());
   EXPECT_FALSE(miss.stats.cache_hit);
-  EXPECT_TRUE(miss.result_list().empty());
+  EXPECT_EQ(service.metrics().cache.negative_hits, 0u);  // a miss, not a hit
 
   api::QueryResponse hit = service.Execute(none);
   EXPECT_TRUE(hit.stats.cache_hit);
-  EXPECT_TRUE(hit.stats.negative);
+  EXPECT_TRUE(hit.ok() && hit.result_list().empty());
 
   api::QueryResponse positive = service.Execute(api::QueryRequest("faloutsos"));
   ASSERT_TRUE(positive.ok());
-  EXPECT_FALSE(positive.stats.negative);
+  EXPECT_FALSE(positive.result_list().empty());
 
   Metrics m = service.metrics();
   EXPECT_EQ(m.cache.negative_hits, 1u);
@@ -785,110 +784,6 @@ TEST(QueryServiceOverload, ExpiredAtAdmissionShedsWithoutBackendWork) {
   EXPECT_EQ(m.sheds_at_admission, 1u);
   EXPECT_EQ(m.sheds_at_dequeue, 0u);
   EXPECT_EQ(m.cache.hits, hits_after_warm);  // shed before the cache
-  EXPECT_EQ(m.pending_misses, 0u);
-}
-
-// The pending-miss watermark sheds lowest-budget-first: when the pool
-// backs up past max_pending_misses, the queued miss with the earliest
-// absolute deadline is the victim — unless the newcomer's own budget is
-// even lower, in which case it is shed inline instead.
-TEST(QueryServiceOverload, WatermarkShedsLowestBudgetFirst) {
-  ScoredDblp f(SmallDblpConfig());
-  GatedBackend gated(&f.backend);
-  search::SearchContext ctx = BuildDblpContext(f.d, &gated);
-  auto clock = std::make_shared<FakeClock>();
-  ServiceOptions so;
-  so.num_threads = 1;  // one worker: everything behind the gate queues
-  so.cache.num_shards = 2;
-  so.cache.clock = clock;
-  so.overload.max_pending_misses = 2;
-  QueryService service(ctx, so);
-  api::QueryOptions options;
-  options.l = 8;
-  const uint64_t now = clock->NowMicros();
-
-  auto submit_one = [&](const char* q, uint64_t deadline,
-                        BatchCollector* collector) {
-    service.Submit(api::QueryRequest(q).WithOptions(options), deadline,
-                   collector->Sink(0));
-  };
-
-  // Park the single worker on a deadline-less miss so subsequent misses
-  // pile up as pending.
-  gated.CloseGate();
-  BatchCollector blocker(1);
-  submit_one("faloutsos", 0, &blocker);
-  gated.WaitUntilBlocked();  // worker busy; pending count is now exact
-
-  BatchCollector early(1), late(1), mid(1), hopeless(1);
-  submit_one("databases", now + 1'000, &early);  // pending #1
-  submit_one("mining", now + 2'000, &late);      // pending #2 — watermark
-  // Newcomer with more budget than the earliest pending: the earliest
-  // ("databases") is the victim and the newcomer takes its place.
-  submit_one("graphs", now + 1'500, &mid);
-  // Newcomer with less budget than every pending miss: shed inline.
-  submit_one("clustering", now + 500, &hopeless);
-  EXPECT_EQ(hopeless.answered(0), 1);
-  EXPECT_EQ(hopeless.response(0).status.code(),
-            api::StatusCode::kDeadlineExceeded);
-
-  gated.OpenGate();
-  blocker.Wait();
-  early.Wait();
-  late.Wait();
-  mid.Wait();
-
-  EXPECT_TRUE(blocker.response(0).ok());
-  EXPECT_EQ(early.response(0).status.code(),
-            api::StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(late.response(0).ok());
-  EXPECT_TRUE(mid.response(0).ok());
-  Metrics m = service.metrics();
-  EXPECT_EQ(m.sheds_at_admission, 2u);  // "databases" victim + "clustering"
-  EXPECT_EQ(m.sheds_at_dequeue, 0u);
-  EXPECT_EQ(m.pending_misses, 0u);
-}
-
-// Deadline-less work has infinite budget: it is never displaced by a
-// finite-budget newcomer — the newcomer is shed instead.
-TEST(QueryServiceOverload, DeadlinelessWorkIsNeverTheWatermarkVictim) {
-  ScoredDblp f(SmallDblpConfig());
-  GatedBackend gated(&f.backend);
-  search::SearchContext ctx = BuildDblpContext(f.d, &gated);
-  auto clock = std::make_shared<FakeClock>();
-  ServiceOptions so;
-  so.num_threads = 1;
-  so.cache.num_shards = 2;
-  so.cache.clock = clock;
-  so.overload.max_pending_misses = 1;
-  QueryService service(ctx, so);
-  api::QueryOptions options;
-  options.l = 8;
-
-  auto submit_one = [&](const char* q, uint64_t deadline,
-                        BatchCollector* collector) {
-    service.Submit(api::QueryRequest(q).WithOptions(options), deadline,
-                   collector->Sink(0));
-  };
-
-  gated.CloseGate();
-  BatchCollector blocker(1);
-  submit_one("faloutsos", 0, &blocker);
-  gated.WaitUntilBlocked();
-
-  BatchCollector patient(1), newcomer(1);
-  submit_one("databases", 0, &patient);  // deadline-less, fills watermark
-  submit_one("mining", clock->NowMicros() + 1'000'000, &newcomer);
-  EXPECT_EQ(newcomer.answered(0), 1);  // shed inline, generous budget or not
-  EXPECT_EQ(newcomer.response(0).status.code(),
-            api::StatusCode::kDeadlineExceeded);
-
-  gated.OpenGate();
-  blocker.Wait();
-  patient.Wait();
-  EXPECT_TRUE(blocker.response(0).ok());
-  EXPECT_TRUE(patient.response(0).ok());
-  EXPECT_EQ(service.metrics().sheds_at_admission, 1u);
 }
 
 // A miss whose budget expires while queued behind a busy pool is answered
@@ -942,7 +837,6 @@ TEST(QueryServiceOverload, ExpiredWhileQueuedShedsAtDequeueWithoutCompute) {
   Metrics m = service.metrics();
   EXPECT_EQ(m.sheds_at_dequeue, 1u);
   EXPECT_EQ(m.sheds_at_admission, 0u);
-  EXPECT_EQ(m.pending_misses, 0u);
 }
 
 // Pins the exact report the CLI's `metrics` command prints (osum_cli
@@ -963,7 +857,6 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
   m.cache.tracked_sightings = 2;
   m.sheds_at_admission = 3;
   m.sheds_at_dequeue = 1;
-  m.pending_misses = 2;
   m.partials.hits = 12;
   m.partials.misses = 9;
   m.partials.inserts = 8;
@@ -980,8 +873,7 @@ TEST(MetricsReport, ShapePinnedForTheCli) {
             "queries 7 | hits 4 (1 negative), misses 3, coalesced 2 | "
             "entries 3 (~4096 bytes), evictions 5, epoch 2\n"
             "policy: admission rejects 6 (2 tracked)\n"
-            "overload: sheds 3 at admission + 1 at dequeue, "
-            "2 misses pending\n"
+            "overload: sheds 3 at admission + 1 at dequeue\n"
             "partials: hits 12, misses 9, inserts 8 (1 discarded), "
             "evictions 2 | entries 6 (~2048 bytes), epoch 1\n"
             "  latency      p50 2.0 us, p99 4.0 us, max 4.0 us\n"
@@ -1043,7 +935,9 @@ TEST(ServeConcurrencyStress, MixedTrafficOneService) {
         for (size_t k = 1; k <= kBatch; ++k) {
           check((qi + k) % mix.size(), answers[k - 1]);
         }
-        if (w == 0 && round == kRounds / 2) service.ClearCache();
+        // A mid-run rebind onto the same context bumps the epoch, which
+        // clears the cache under live traffic; answers must not change.
+        if (w == 0 && round == kRounds / 2) service.RebindContext(ctx);
       }
     });
   }
