@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -52,6 +51,7 @@
 
 #include "api/codec.h"
 #include "api/query.h"
+#include "backend_doubles.h"
 #include "bench_common.h"
 #include "core/os_backend.h"
 #include "net/client.h"
@@ -68,6 +68,7 @@ namespace osum {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using testing::GatedBackend;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -254,63 +255,6 @@ WireResult RunWireSweep(uint16_t port,
   }
   return result;
 }
-
-/// Delegating back end whose join calls park on a gate — the lever that
-/// keeps the overload section's single worker deterministically busy while
-/// tight-deadline requests queue up behind it (same idiom as the net and
-/// serve test suites).
-class GatedBackend : public core::OsBackend {
- public:
-  explicit GatedBackend(core::OsBackend* inner) : inner_(inner) {}
-
-  const char* name() const override { return "gated"; }
-
-  void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
-             rel::TupleId parent_tuple,
-             std::vector<rel::TupleId>* out) override {
-    Enter();
-    inner_->Fetch(link, dir, parent_tuple, out);
-  }
-  void FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
-                rel::TupleId parent_tuple, size_t limit,
-                double min_importance,
-                std::vector<rel::TupleId>* out) override {
-    Enter();
-    inner_->FetchTop(link, dir, parent_tuple, limit, min_importance, out);
-  }
-
-  void CloseGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    gate_closed_ = true;
-  }
-  void OpenGate() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      gate_closed_ = false;
-    }
-    cv_.notify_all();
-  }
-  void WaitUntilBlocked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return waiting_ > 0; });
-  }
-
- private:
-  void Enter() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!gate_closed_) return;
-    ++waiting_;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return !gate_closed_; });
-    --waiting_;
-  }
-
-  core::OsBackend* inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool gate_closed_ = false;
-  int waiting_ = 0;
-};
 
 struct OverloadResult {
   uint64_t sheds_at_admission = 0;

@@ -8,7 +8,7 @@
 //   query <keywords> [l]       ranked size-l OSs (Example 5 format)
 //   query --wire json|binary <keywords> [l]
 //                              the full api::QueryResponse on the wire:
-//                              canonical JSON document, or the v1 binary
+//                              canonical JSON document, or the binary
 //                              format as hex (pipe through `xxd -r -p`
 //                              for raw bytes)
 //   json <keywords> [l]        same, as JSON (first result only)
@@ -37,10 +37,11 @@
 //                              end over a real socket (length-prefixed
 //                              binary frames) and print the served answer.
 //                              deadline= attaches a relative time budget
-//                              in microseconds (rides the v2 wire
-//                              revision); an expired request is answered
-//                              in-band with deadline_exceeded instead of
-//                              burning pool time
+//                              in microseconds (every request carries
+//                              one on the wire; 0 = none); an expired
+//                              request is answered in-band with
+//                              deadline_exceeded instead of burning pool
+//                              time
 //   save <dir>                 export the database as CSV + catalog
 //   help
 //

@@ -16,7 +16,8 @@
 # a NON-FATAL report (scripts/bench_diff.py — tiny-vs-reference numbers
 # differ by design; the report proves the diff plumbing), and smokes the
 # api wire format: `osum_cli query --wire json` must produce a document
-# Python's json module parses.
+# Python's json module parses, and round-trips two queries (with and
+# without a deadline) through `osum_cli serve-tcp`/`connect`.
 #
 # Dedicated full-size perf lane (opt-in): OSUM_PERF_LANE=1 scripts/ci.sh
 # builds Release only, runs bench_cache at FULL size and gates hard with
@@ -171,6 +172,27 @@ assert doc["kind"] == "query_response" and doc["v"] == 1, doc
 assert doc["status"]["code"] == 0 and doc["results"], doc["status"]
 print(f"wire smoke ok: {len(doc['results'])} result(s), "
       f"status {doc['status']['code']}")
+PY
+
+# TCP round-trip smoke: one request without a deadline and one with a
+# deadline through the one request layout, over a real loopback socket,
+# in the shipping configuration. Both connects must report results and the
+# drain must be clean.
+echo "==== tcp smoke (osum_cli serve-tcp / connect) ===="
+tcp_out="build-release/cli_tcp_smoke.out"
+tcp_script="build dblp; serve-tcp 0; connect faloutsos 6;"
+tcp_script+=" connect deadline=60000000 faloutsos 6; serve-tcp stop"
+build-release/examples/osum_cli "${tcp_script}" > "${tcp_out}"
+python3 - "${tcp_out}" <<'PY'
+import re, sys
+text = open(sys.argv[1], encoding="utf-8").read()
+answers = re.findall(r"^\[(?:HIT|MISS)[^\]]*over tcp\] (\d+) result",
+                     text, re.M)
+assert len(answers) == 2 and all(int(n) > 0 for n in answers), text
+stop = re.search(r"^tcp server stopped \((.*?)\):.*", text, re.M)
+assert stop and stop.group(1) == "drained", text
+assert ", 0 dropped," in stop.group(0), text
+print(f"tcp smoke ok: {answers} result(s), {stop.group(0)}")
 PY
 
 run_config build-asan -- -DCMAKE_BUILD_TYPE=Debug -DOSUM_SANITIZE=address

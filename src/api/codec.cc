@@ -140,12 +140,8 @@ void PutHeader(std::string* out, uint8_t kind, uint16_t version) {
   PutU8(out, kind);
 }
 
-/// Checks magic/version/kind; on success the reader sits at the payload
-/// and *version holds the decoded version. `max_version` is the newest
-/// revision the caller can interpret (responses stay v1; requests accept
-/// v1 and v2).
-Status ReadHeader(Reader* r, uint8_t want_kind, uint16_t max_version,
-                  uint16_t* version_out) {
+/// Checks magic/version/kind; on success the reader sits at the payload.
+Status ReadHeader(Reader* r, uint8_t want_kind, uint16_t want_version) {
   char magic[4];
   for (char& c : magic) c = static_cast<char>(r->U8());
   if (!r->ok()) return Status::CodecError(r->error());
@@ -153,14 +149,10 @@ Status ReadHeader(Reader* r, uint8_t want_kind, uint16_t max_version,
     return Status::CodecError("bad magic: not an OSUM wire document");
   }
   uint16_t version = r->U16();
-  if (r->ok() && (version < kWireVersion || version > max_version)) {
+  if (r->ok() && version != want_version) {
     return Status::CodecError("unsupported wire version " +
                               std::to_string(version) + " (expected " +
-                              std::to_string(kWireVersion) +
-                              (max_version > kWireVersion
-                                   ? ".." + std::to_string(max_version)
-                                   : "") +
-                              ")");
+                              std::to_string(want_version) + ")");
   }
   uint8_t kind = r->U8();
   if (!r->ok()) return Status::CodecError(r->error());
@@ -169,7 +161,6 @@ Status ReadHeader(Reader* r, uint8_t want_kind, uint16_t max_version,
         "wrong document kind " + std::to_string(kind) + " (expected " +
         std::to_string(want_kind) + ")");
   }
-  *version_out = version;
   return Status::Ok();
 }
 
@@ -344,14 +335,8 @@ void AppendResultJson(std::string* out, const QueryResult& r) {
 // ---------------------------------------------------------------------------
 
 std::string EncodeRequest(const QueryRequest& request) {
-  // The lowest version that can express the request: v1 iff there is no
-  // deadline, so every request value has exactly one encoding (the
-  // canonical-decode invariant the hostile sweeps rely on), and every
-  // pre-deadline blob stays byte-identical.
-  const bool has_deadline = request.deadline_micros() != 0;
   std::string out;
-  PutHeader(&out, kKindRequest,
-            has_deadline ? kWireVersionDeadline : kWireVersion);
+  PutHeader(&out, kKindRequest, kRequestWireVersion);
   PutStr(&out, request.keywords());
   const QueryOptions& o = request.options();
   PutU64(&out, o.l);
@@ -359,14 +344,13 @@ std::string EncodeRequest(const QueryRequest& request) {
   PutU8(&out, static_cast<uint8_t>(o.algorithm));
   PutU8(&out, o.use_prelim ? 1 : 0);
   PutU8(&out, static_cast<uint8_t>(o.ranking));
-  if (has_deadline) PutU64(&out, request.deadline_micros());
+  PutU64(&out, request.deadline_micros());
   return out;
 }
 
 StatusOr<QueryRequest> DecodeRequest(std::string_view bytes) {
   Reader r(bytes);
-  uint16_t version = 0;
-  Status header = ReadHeader(&r, kKindRequest, kWireVersionDeadline, &version);
+  Status header = ReadHeader(&r, kKindRequest, kRequestWireVersion);
   if (!header.ok()) return header;
   std::string keywords = r.Str();
   QueryOptions o;
@@ -375,15 +359,7 @@ StatusOr<QueryRequest> DecodeRequest(std::string_view bytes) {
   uint8_t algorithm = r.U8();
   uint8_t use_prelim = r.U8();
   uint8_t ranking = r.U8();
-  uint64_t deadline_micros = 0;
-  if (version >= kWireVersionDeadline) {
-    deadline_micros = r.U64();
-    if (r.ok() && deadline_micros == 0) {
-      // A v2 document without a deadline has a v1 encoding; accepting it
-      // here would give one value two wire forms.
-      return Status::CodecError("v2 request with zero deadline_micros");
-    }
-  }
+  uint64_t deadline_micros = r.U64();
   if (!r.ok()) return Status::CodecError(r.error());
   if (!r.AtEnd()) return Status::CodecError("trailing bytes after request");
   StatusOr<core::SizeLAlgorithm> alg = AlgorithmFromWire(algorithm);
@@ -405,7 +381,7 @@ StatusOr<QueryRequest> DecodeRequest(std::string_view bytes) {
 
 std::string EncodeResponse(const QueryResponse& response) {
   std::string out;
-  PutHeader(&out, kKindResponse, kWireVersion);
+  PutHeader(&out, kKindResponse, kResponseWireVersion);
   PutU8(&out, static_cast<uint8_t>(response.status.code()));
   PutStr(&out, response.status.message());
   PutU8(&out, response.stats.cache_hit ? 1 : 0);
@@ -419,8 +395,7 @@ std::string EncodeResponse(const QueryResponse& response) {
 
 StatusOr<QueryResponse> DecodeResponse(std::string_view bytes) {
   Reader r(bytes);
-  uint16_t version = 0;
-  Status header = ReadHeader(&r, kKindResponse, kWireVersion, &version);
+  Status header = ReadHeader(&r, kKindResponse, kResponseWireVersion);
   if (!header.ok()) return header;
   uint8_t code = r.U8();
   std::string message = r.Str();
@@ -463,29 +438,8 @@ StatusOr<QueryResponse> DecodeResponse(std::string_view bytes) {
 // JSON entry points
 // ---------------------------------------------------------------------------
 
-std::string RequestToJson(const QueryRequest& request) {
-  const QueryOptions& o = request.options();
-  // Same versioning rule as the binary form: v1 iff no deadline, so
-  // pre-deadline documents stay byte-identical.
-  uint16_t version = request.deadline_micros() == 0 ? kWireVersion
-                                                    : kWireVersionDeadline;
-  std::string out = "{\"v\":" + std::to_string(version) +
-                    ",\"kind\":\"query_request\"";
-  out += ",\"keywords\":" + JsonString(request.keywords());
-  out += ",\"l\":" + std::to_string(o.l);
-  out += ",\"max_results\":" + std::to_string(o.max_results);
-  out += ",\"algorithm\":" + std::to_string(static_cast<int>(o.algorithm));
-  out += std::string(",\"use_prelim\":") + (o.use_prelim ? "true" : "false");
-  out += ",\"ranking\":" + std::to_string(static_cast<int>(o.ranking));
-  if (version == kWireVersionDeadline) {
-    out += ",\"deadline_micros\":" + std::to_string(request.deadline_micros());
-  }
-  out += "}";
-  return out;
-}
-
 std::string ResponseToJson(const QueryResponse& response) {
-  std::string out = "{\"v\":" + std::to_string(kWireVersion) +
+  std::string out = "{\"v\":" + std::to_string(kResponseWireVersion) +
                     ",\"kind\":\"query_response\"";
   out += ",\"status\":{\"code\":" +
          std::to_string(static_cast<int>(response.status.code())) +

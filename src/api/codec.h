@@ -1,19 +1,17 @@
 // Wire codec for QueryRequest and QueryResponse: a versioned,
 // endianness-stable binary format (the canonical cross-process form), a
-// JSON output form (for CLIs, logs and non-C++ consumers), and the
-// deterministic text fingerprint the equivalence tests compare.
+// JSON output form for responses (for CLIs, logs and non-C++ consumers),
+// and the deterministic text fingerprint the equivalence tests compare.
 //
-// Binary format v1 — all integers little-endian regardless of host,
-// doubles as their IEEE-754 bit pattern in a little-endian u64, strings as
-// u32 length + raw bytes:
+// One layout per document kind: requests at version 2, responses at
+// version 1. All integers little-endian regardless of host, doubles as
+// their IEEE-754 bit pattern in a little-endian u64, strings as u32
+// length + raw bytes:
 //
-//   header   magic "OSUM" | u16 version (1 or 2) | u8 kind (1=request,
-//            2=response)
+//   header   magic "OSUM" | u16 version | u8 kind (1=request, 2=response)
 //   request  str keywords | u64 l | u64 max_results | u8 algorithm |
-//            u8 use_prelim | u8 ranking
-//            v2 appends: u64 deadline_micros (the relative time budget;
-//            MUST be nonzero — a request without a deadline encodes as v1,
-//            so every value has exactly one encoding)
+//            u8 use_prelim | u8 ranking | u64 deadline_micros
+//            (the relative time budget; 0 = no deadline)
 //   response u8 status_code | str status_message |
 //            u8 cache_hit | f64 compute_micros | u64 epoch |
 //            u32 num_results | num_results * result
@@ -32,19 +30,17 @@
 // blob):
 //   - Round-trip identity: Encode(Decode(bytes)) == bytes for any bytes
 //     Encode produced, and Decode(Encode(x)) compares byte-identical to x
-//     under DeterministicResponseText.
+//     under DeterministicResponseText. Each value has exactly one encoding.
 //   - Decode never crashes on hostile input: truncation, bad magic /
 //     version / kind / enum values, and malformed trees all come back as
 //     Status kCodecError.
 //
-// JSON is an output format only (nothing in the repo decodes it): it
-// mirrors the same fields and the same versioning rule ({"v":1,...}, or
-// {"v":2,...,"deadline_micros":N} for deadline-carrying requests). Doubles
-// are printed with %.17g, enough digits for a reader to recover the exact
-// value; u64 fields are printed in full, though many JSON readers keep only
-// 2^53 of integer precision. Binary is the canonical format, JSON the
-// readable one; the exact documents are pinned by goldens in
-// tests/api_codec_test.cc.
+// JSON is an output format for responses only (nothing in the repo decodes
+// it): it mirrors the binary fields ({"v":1,"kind":"query_response",...}).
+// Doubles are printed with %.17g, enough digits for a reader to recover
+// the exact value; u64 fields are printed in full, though many JSON
+// readers keep only 2^53 of integer precision. The exact documents are
+// pinned by goldens in tests/api_codec_test.cc.
 #ifndef OSUM_API_CODEC_H_
 #define OSUM_API_CODEC_H_
 
@@ -57,25 +53,15 @@
 
 namespace osum::api {
 
-/// Baseline version of the wire format; responses are always emitted at
-/// v1 (the status-code byte is append-only, so new codes ride on v1).
-/// Decoders reject versions they do not know.
-inline constexpr uint16_t kWireVersion = 1;
-
-/// Request revision carrying `deadline_micros`. The encoder picks the
-/// lowest version expressing the request (v1 iff no deadline), so v1
-/// consumers keep working until a deadline actually appears on the wire.
-inline constexpr uint16_t kWireVersionDeadline = 2;
+/// The one layout of each document kind. Decoders reject any other
+/// version. (The status-code byte is append-only, so new codes ride on
+/// the response layout unchanged.)
+inline constexpr uint16_t kRequestWireVersion = 2;
+inline constexpr uint16_t kResponseWireVersion = 1;
 
 // -- Binary (canonical) ----------------------------------------------------
 
-/// Encodes at the lowest version that can express the request: v1 when
-/// deadline_micros == 0 (byte-identical to the pre-deadline format), v2
-/// otherwise — so each value has exactly one canonical encoding.
 std::string EncodeRequest(const QueryRequest& request);
-
-/// Accepts v1 and v2. A v2 blob with a zero deadline is a kCodecError (that
-/// value's encoding is v1), as is a v1 blob with trailing deadline bytes.
 StatusOr<QueryRequest> DecodeRequest(std::string_view bytes);
 
 std::string EncodeResponse(const QueryResponse& response);
@@ -84,7 +70,6 @@ StatusOr<QueryResponse> DecodeResponse(std::string_view bytes);
 // -- JSON (output only) ----------------------------------------------------
 
 /// One-line canonical JSON document (fixed field order, %.17g doubles).
-std::string RequestToJson(const QueryRequest& request);
 std::string ResponseToJson(const QueryResponse& response);
 
 // -- Deterministic text ----------------------------------------------------

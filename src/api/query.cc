@@ -27,20 +27,6 @@ std::string KeyFromTokens(const std::vector<std::string>& tokens,
   return key;
 }
 
-/// Structural checks shared by Validate and ValidatedKey (everything
-/// except the tokenization-dependent empty-keyword-set check).
-Status ValidateOptions(const QueryOptions& options) {
-  if (options.max_results == 0) {
-    return Status::InvalidArgument("max_results must be positive");
-  }
-  if (options.l > kMaxSynopsisL) {
-    return Status::InvalidArgument(
-        "l=" + std::to_string(options.l) + " exceeds the synopsis cap of " +
-        std::to_string(kMaxSynopsisL) + " (use l=0 for the complete OS)");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 std::string QueryOptions::CacheKeyFragment() const {
@@ -58,19 +44,15 @@ std::string CanonicalQueryKey(std::string_view keywords,
   return KeyFromTokens(NormalizedTokens(keywords), options);
 }
 
-Status QueryRequest::Validate() const {
-  Status s = ValidateOptions(options_);
-  if (!s.ok()) return s;
-  if (NormalizedTokens(keywords_).empty()) {
-    return Status::InvalidArgument(
-        "empty keyword set: no alphanumeric token in \"" + keywords_ + "\"");
-  }
-  return Status::Ok();
-}
-
 StatusOr<std::string> QueryRequest::ValidatedKey() const {
-  Status s = ValidateOptions(options_);
-  if (!s.ok()) return s;
+  if (options_.max_results == 0) {
+    return Status::InvalidArgument("max_results must be positive");
+  }
+  if (options_.l > kMaxSynopsisL) {
+    return Status::InvalidArgument(
+        "l=" + std::to_string(options_.l) + " exceeds the synopsis cap of " +
+        std::to_string(kMaxSynopsisL) + " (use l=0 for the complete OS)");
+  }
   std::vector<std::string> tokens = NormalizedTokens(keywords_);
   if (tokens.empty()) {
     return Status::InvalidArgument(

@@ -2,19 +2,19 @@
 // size-l OSs out", as versioned value types.
 //
 // QueryRequest bundles the keyword string with every result-affecting knob
-// (the former loose `(string_view, QueryOptions)` tuple), validates itself
-// into typed Status errors, and canonicalizes itself into the cache key the
-// serving layer shards on. QueryResponse pairs a Status with the ranked
-// results and per-query metadata (cache hit/miss, compute time, cache
-// epoch) — so a genuine empty answer (kOk, zero results) is distinguishable
-// from a failure, the precondition for negative caching and for serving
-// across processes (api/codec.h gives both types a wire form).
+// (the former loose `(string_view, QueryOptions)` tuple) and, in one pass,
+// validates itself into typed Status errors and canonicalizes itself into
+// the cache key the serving layer shards on. QueryResponse pairs a Status
+// with the ranked results and per-query metadata (cache hit/miss, compute
+// time, cache epoch) — so a genuine empty answer (kOk, zero results) is
+// distinguishable from a failure, the precondition for negative caching
+// and for serving across processes (api/codec.h gives both types a wire
+// form).
 //
 // Layering: this header also *defines* the result vocabulary (Hit,
-// QueryOptions, QueryResult, ResultRanking) that used to live in
-// search/search_context.h — the api layer sits below search so
-// SearchContext and serve::QueryService can both speak these types
-// natively. `osum::search` keeps aliases for source compat.
+// QueryOptions, QueryResult, ResultRanking) — the api layer sits below
+// search so SearchContext and serve::QueryService both speak these types
+// natively, under their api:: names.
 #ifndef OSUM_API_QUERY_H_
 #define OSUM_API_QUERY_H_
 
@@ -105,9 +105,9 @@ inline constexpr size_t kMaxSynopsisL = 65536;
 ///
 ///   api::QueryRequest("christos faloutsos").WithL(10).WithMaxResults(3)
 ///
-/// Validation (`Validate` / `ValidatedKey`) is where the old silent
-/// failure modes become typed errors: an empty keyword *set* (nothing
-/// tokenizes) is kInvalidArgument, not an empty answer.
+/// Validation (`ValidatedKey`) is where the old silent failure modes
+/// become typed errors: an empty keyword *set* (nothing tokenizes) is
+/// kInvalidArgument, not an empty answer.
 class QueryRequest {
  public:
   QueryRequest() = default;
@@ -116,10 +116,6 @@ class QueryRequest {
   QueryRequest(std::string keywords, QueryOptions options)
       : keywords_(std::move(keywords)), options_(options) {}
 
-  QueryRequest& WithKeywords(std::string keywords) {
-    keywords_ = std::move(keywords);
-    return *this;
-  }
   QueryRequest& WithOptions(const QueryOptions& options) {
     options_ = options;
     return *this;
@@ -159,17 +155,10 @@ class QueryRequest {
   /// requests differing only in budget share one cached result.
   uint64_t deadline_micros() const { return deadline_micros_; }
 
-  /// kOk, or kInvalidArgument naming the offending field: empty keyword
-  /// set, max_results == 0, l > kMaxSynopsisL.
-  Status Validate() const;
-
-  /// Validate + CanonicalQueryKey in one tokenization pass — the serving
-  /// hot path calls this once and threads the key through.
+  /// CanonicalQueryKey(keywords, options) for a valid request, in one
+  /// tokenization pass; kInvalidArgument naming the offending field for
+  /// an empty keyword set, max_results == 0 or l > kMaxSynopsisL.
   StatusOr<std::string> ValidatedKey() const;
-
-  /// CanonicalQueryKey(keywords, options); see ValidatedKey for the
-  /// validated single-pass variant.
-  std::string CacheKey() const { return CanonicalQueryKey(keywords_, options_); }
 
  private:
   std::string keywords_;

@@ -1,13 +1,14 @@
 // Length-prefixed framing for api::codec documents on a TCP stream.
 //
 // One frame is a u32 little-endian payload length followed by exactly that
-// many payload bytes; the payload is one api::codec binary-v1 document
+// many payload bytes; the payload is one api::codec binary document
 // (request or response — the codec header inside the payload carries the
-// magic and kind). The prefix itself has no magic, so there is no way to
-// resynchronize a stream after a framing violation: the only safe reaction
-// to an impossible length is dropping the connection. A *well-framed*
-// payload that fails to decode is different — framing is intact, so the
-// server answers it in-band with kCodecError and the stream continues.
+// magic, version and kind). The prefix itself has no magic, so there is no
+// way to resynchronize a stream after a framing violation: the only safe
+// reaction to an impossible length is dropping the connection. A
+// *well-framed* payload that fails to decode is different — framing is
+// intact, so the server answers it in-band with kCodecError and the stream
+// continues.
 #ifndef OSUM_NET_FRAME_H_
 #define OSUM_NET_FRAME_H_
 

@@ -132,14 +132,7 @@ bool Server::Shutdown() {
   loop_role_.BindToCurrentThread();
   loop_role_.AssertHeld();
   for (auto& [id, conn] : connections_) {
-    uint64_t undispatched = 0;
-    while (conn->frames.HasCompleteFrame() && conn->frames.Next()) {
-      ++undispatched;
-    }
-    stats_.dropped_responses.fetch_add(
-        undispatched + conn->slots.size() +
-            (conn->outbound_offset < conn->outbound.size() ? 1 : 0),
-        std::memory_order_relaxed);
+    DropUnanswered(conn.get());
     ::close(conn->fd);
     stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -295,7 +288,12 @@ void Server::PumpScheduler() {
     conn->in_ready = false;
     std::optional<std::string> payload = conn->frames.Next();
     if (conn->frames.poisoned()) {
-      // A poisonous prefix queued behind valid frames surfaces here.
+      // A poisonous prefix queued behind valid frames surfaces here; the
+      // frame taken off with it dies with the connection.
+      if (payload) {
+        stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
+        stats_.dropped_responses.fetch_add(1, std::memory_order_relaxed);
+      }
       stats_.framing_violations.fetch_add(1, std::memory_order_relaxed);
       CloseConnection(id);
       continue;
@@ -397,8 +395,8 @@ bool Server::FlushConnection(Connection* conn) {
     if (conn->outbound_offset >= conn->outbound.size()) {
       conn->outbound.clear();
       conn->outbound_offset = 0;
-      // One response in the write buffer at a time keeps "undelivered
-      // responses" countable when a connection dies mid-flush.
+      // One response in the write buffer at a time: the slots stay the
+      // per-request record of what is still undelivered.
       if (!conn->slots.empty() && conn->slots.front().ready) {
         conn->outbound = std::move(conn->slots.front().bytes);
         conn->slots.pop_front();
@@ -465,22 +463,30 @@ void Server::CloseConnection(uint64_t id) {
   auto it = connections_.find(id);
   if (it == connections_.end()) return;
   Connection* conn = it->second.get();
-  // Complete frames never dispatched die with the connection; drain them
-  // into the drop count so frames_in-level accounting still reconciles
-  // (they were never frames_in, but they were accepted bytes).
-  uint64_t undispatched = 0;
-  while (conn->frames.HasCompleteFrame() && conn->frames.Next()) {
-    ++undispatched;
-  }
-  stats_.dropped_responses.fetch_add(
-      undispatched + conn->slots.size() +
-          (conn->outbound_offset < conn->outbound.size() ? 1 : 0),
-      std::memory_order_relaxed);
+  DropUnanswered(conn);
   loop_.Remove(conn->fd);
   loop_.DeferClose(conn->fd);
   connections_.erase(it);
   stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
   MaybeFinishDrain();
+}
+
+void Server::DropUnanswered(Connection* conn) {
+  // Complete frames still waiting for their round-robin turn are taken off
+  // the reassembler here, so they enter frames_in like dispatched ones.
+  uint64_t undispatched = 0;
+  while (conn->frames.HasCompleteFrame() && conn->frames.Next()) {
+    ++undispatched;
+  }
+  // Ready slots (and a half-written response) are in responses_out
+  // already; only the requests the service has not answered yet drop.
+  uint64_t unanswered = 0;
+  for (const Slot& slot : conn->slots) {
+    if (!slot.ready) ++unanswered;
+  }
+  stats_.frames_in.fetch_add(undispatched, std::memory_order_relaxed);
+  stats_.dropped_responses.fetch_add(undispatched + unanswered,
+                                     std::memory_order_relaxed);
 }
 
 void Server::BeginDrain() {

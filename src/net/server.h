@@ -1,6 +1,6 @@
 // The TCP front end: a non-blocking epoll server speaking length-prefixed
-// api::codec binary-v1 frames, multiplexing pipelined requests onto
-// serve::QueryService.
+// frames of api::codec binary documents, multiplexing pipelined requests
+// onto serve::QueryService.
 //
 // Protocol. Each inbound frame (net/frame.h) carries one encoded
 // QueryRequest; each outbound frame carries one encoded QueryResponse.
@@ -42,8 +42,9 @@
 // response bytes fully written, and only then stop the loop. Requests
 // still half-buffered in a reassembler are abandoned by design ("drain"
 // means finish what was accepted, not read more). A peer that refuses to
-// drain its socket forfeits after 30 s (kDrainTimeoutMs) and its
-// undelivered responses are counted, not silently lost.
+// drain its socket forfeits after 30 s (kDrainTimeoutMs): it is closed by
+// force, and its requests still unanswered are counted as dropped, not
+// silently lost (see ServerStats).
 #ifndef OSUM_NET_SERVER_H_
 #define OSUM_NET_SERVER_H_
 
@@ -90,10 +91,14 @@ struct ServerOptions {
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;
-  /// Complete frames received (whether or not their payload decoded).
+  /// Complete frames taken off a reassembler: dispatched (whether or not
+  /// their payload decoded), or still queued when their connection closed.
+  /// Each also counts in exactly one of responses_out or
+  /// dropped_responses, so frames_in == responses_out + dropped_responses
+  /// whenever nothing is in flight (after Shutdown, for instance).
   uint64_t frames_in = 0;
-  /// Responses queued for delivery (every frame_in gets exactly one,
-  /// unless its connection died first).
+  /// Responses produced and queued for delivery. A response queued but
+  /// not yet written when its connection dies stays counted here.
   uint64_t responses_out = 0;
   /// Well-framed payloads that failed DecodeRequest (answered in-band
   /// with kCodecError).
@@ -102,9 +107,9 @@ struct ServerStats {
   uint64_t framing_violations = 0;
   /// Connections dropped for passing outbound_hard_cap.
   uint64_t backpressure_closes = 0;
-  /// Responses that could not be delivered (peer disconnected with work
-  /// in flight, or forfeited at drain timeout). Includes complete frames
-  /// never dispatched because their connection died first.
+  /// Frames whose connection closed (peer left, forced close at drain
+  /// timeout) before their response was produced: requests the service
+  /// had not answered yet, and complete frames never dispatched.
   uint64_t dropped_responses = 0;
   /// Responses whose status was kDeadlineExceeded — requests shed by the
   /// service (at admission or dequeue) because their budget expired.
@@ -223,6 +228,11 @@ class Server {
   /// Recomputes and applies the connection's epoll interest set.
   void UpdateInterest(Connection* conn) REQUIRES(loop_role_);
   void CloseConnection(uint64_t id) REQUIRES(loop_role_);
+  /// The close-time half of the frame ledger (see ServerStats): counts
+  /// the complete frames left in `conn`'s reassembler into frames_in, and
+  /// those plus every slot still waiting for the service into
+  /// dropped_responses. Both close paths call it exactly once.
+  void DropUnanswered(Connection* conn) REQUIRES(loop_role_);
   void BeginDrain() REQUIRES(loop_role_);
   /// Signals Shutdown once draining and no connection holds undelivered
   /// work.

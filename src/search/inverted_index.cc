@@ -8,7 +8,7 @@ namespace osum::search {
 
 namespace {
 
-bool HitLess(const Hit& a, const Hit& b) {
+bool HitLess(const api::Hit& a, const api::Hit& b) {
   if (a.relation != b.relation) return a.relation < b.relation;
   return a.tuple < b.tuple;
 }
@@ -29,7 +29,7 @@ InvertedIndex InvertedIndex::Build(
         }
         for (const std::string& token :
              util::TokenizeWords(relation.StringValue(t, c))) {
-          index.postings_[token].push_back(Hit{r, t});
+          index.postings_[token].push_back(api::Hit{r, t});
         }
       }
     }
@@ -41,10 +41,10 @@ InvertedIndex InvertedIndex::Build(
   return index;
 }
 
-std::vector<Hit> InvertedIndex::Search(
+std::vector<api::Hit> InvertedIndex::Search(
     const std::vector<std::string>& keywords) const {
   if (keywords.empty()) return {};
-  std::vector<Hit> result;
+  std::vector<api::Hit> result;
   bool first = true;
   for (const std::string& kw : keywords) {
     auto it = postings_.find(util::ToLower(kw));
@@ -54,7 +54,7 @@ std::vector<Hit> InvertedIndex::Search(
       first = false;
       continue;
     }
-    std::vector<Hit> merged;
+    std::vector<api::Hit> merged;
     std::set_intersection(result.begin(), result.end(), it->second.begin(),
                           it->second.end(), std::back_inserter(merged),
                           HitLess);
@@ -64,7 +64,8 @@ std::vector<Hit> InvertedIndex::Search(
   return result;
 }
 
-std::vector<Hit> InvertedIndex::SearchQuery(std::string_view query) const {
+std::vector<api::Hit> InvertedIndex::SearchQuery(
+    std::string_view query) const {
   return Search(util::TokenizeWords(query));
 }
 

@@ -14,11 +14,6 @@
 
 namespace osum::search {
 
-/// A (relation, tuple) keyword hit. Defined in the api layer (it is part
-/// of the wire-encodable result vocabulary); aliased here because the
-/// index is where hits are born.
-using Hit = api::Hit;
-
 /// Word-level inverted index with AND query semantics: a tuple matches a
 /// query iff every query keyword appears among the tokens of its display
 /// string attributes ("Christos Faloutsos" matches queries "faloutsos" and
@@ -31,16 +26,16 @@ class InvertedIndex {
 
   /// AND query over tokenized keywords; hits are returned in (relation,
   /// tuple) order. An empty keyword list yields no hits.
-  std::vector<Hit> Search(const std::vector<std::string>& keywords) const;
+  std::vector<api::Hit> Search(const std::vector<std::string>& keywords) const;
 
   /// Tokenizes `query` and delegates to Search.
-  std::vector<Hit> SearchQuery(std::string_view query) const;
+  std::vector<api::Hit> SearchQuery(std::string_view query) const;
 
   size_t num_terms() const { return postings_.size(); }
 
  private:
   // Postings are sorted by (relation, tuple) and deduplicated.
-  std::unordered_map<std::string, std::vector<Hit>> postings_;
+  std::unordered_map<std::string, std::vector<api::Hit>> postings_;
 };
 
 }  // namespace osum::search

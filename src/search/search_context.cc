@@ -19,7 +19,7 @@ namespace {
 // mode and algorithm. Deliberately NOT api::QueryOptions::CacheKeyFragment():
 // max_results and ranking rank *across* subjects and must not split the
 // memo, or overlapping-keyword queries would stop sharing work.
-std::string PartialsKey(const Hit& hit, const api::QueryOptions& options) {
+std::string PartialsKey(const api::Hit& hit, const api::QueryOptions& options) {
   std::string key;
   key.reserve(32);
   key += 'r';
@@ -67,31 +67,21 @@ const gds::Gds& SearchContext::GdsFor(rel::RelationId relation) const {
   return subjects_.at(relation);
 }
 
-std::vector<SearchContext::Subject> SearchContext::TakeSubjects() && {
-  std::vector<Subject> out;
-  out.reserve(subject_order_.size());
-  for (rel::RelationId r : subject_order_) {
-    out.push_back(Subject{r, std::move(subjects_.at(r))});
-  }
-  subjects_.clear();
-  subject_order_.clear();
-  return out;
-}
-
 std::vector<api::QueryResult> SearchContext::Query(
     std::string_view keywords, const api::QueryOptions& options) const {
-  std::vector<Hit> hits = index_.SearchQuery(keywords);
+  std::vector<api::Hit> hits = index_.SearchQuery(keywords);
 
   // Pre-rank data subjects by global importance. Under subject ranking the
   // list is truncated here (cheap); under summary ranking every hit's
   // size-l OS must be computed first, so truncation happens at the end.
-  std::sort(hits.begin(), hits.end(), [this](const Hit& a, const Hit& b) {
-    double ia = db_->relation(a.relation).importance(a.tuple);
-    double ib = db_->relation(b.relation).importance(b.tuple);
-    if (ia != ib) return ia > ib;
-    if (a.relation != b.relation) return a.relation < b.relation;
-    return a.tuple < b.tuple;
-  });
+  std::sort(hits.begin(), hits.end(),
+            [this](const api::Hit& a, const api::Hit& b) {
+              double ia = db_->relation(a.relation).importance(a.tuple);
+              double ib = db_->relation(b.relation).importance(b.tuple);
+              if (ia != ib) return ia > ib;
+              if (a.relation != b.relation) return a.relation < b.relation;
+              return a.tuple < b.tuple;
+            });
   if (options.ranking == api::ResultRanking::kSubjectImportance &&
       hits.size() > options.max_results) {
     hits.resize(options.max_results);
@@ -104,7 +94,7 @@ std::vector<api::QueryResult> SearchContext::Query(
   core::DpScratch scratch;
   core::PartialsMemo& memo = *partials_memo_;
   const bool use_memo = memo.enabled();
-  for (const Hit& hit : hits) {
+  for (const api::Hit& hit : hits) {
     const gds::Gds& gds = subjects_.at(hit.relation);
     api::QueryResult r;
     r.subject = hit;
@@ -170,9 +160,8 @@ std::vector<api::QueryResult> SearchContext::Query(
 api::QueryResponse SearchContext::Execute(
     const api::QueryRequest& request) const {
   util::WallTimer timer;
-  api::Status invalid = request.Validate();
-  if (!invalid.ok()) {
-    return api::QueryResponse::Failure(std::move(invalid));
+  if (api::StatusOr<std::string> key = request.ValidatedKey(); !key.ok()) {
+    return api::QueryResponse::Failure(key.status());
   }
   api::QueryStats stats;  // uncached path: cache_hit false, epoch 0
   try {

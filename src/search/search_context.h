@@ -121,15 +121,6 @@ class SearchContext {
   /// configures it and bumps its epoch on rebind.
   core::PartialsMemo& partials_memo() const { return *partials_memo_; }
 
-  /// Moves the registered subjects back out in registration order, leaving
-  /// the context empty — the deliberate rebuild flow: take the subjects
-  /// from a context you are about to discard, extend the set, and Build a
-  /// fresh one. Only once nothing else queries the context: a
-  /// serve::QueryService borrowing it must first be rebound to a context
-  /// built from fresh subjects (RebindContext), since taking the subjects
-  /// under a live query is a data race.
-  std::vector<Subject> TakeSubjects() &&;
-
  private:
   SearchContext(const rel::Database& db, core::OsBackend* backend)
       : db_(&db), backend_(backend) {}

@@ -201,7 +201,11 @@ ResultPtr ResultCache::GetOrCompute(
   return value;
 }
 
-void ResultCache::Clear() {
+uint64_t ResultCache::BumpEpoch() {
+  uint64_t next = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // Old-epoch entries are unreachable already (epoch-prefixed keys); the
+  // clear releases their memory. Old-epoch sightings are likewise
+  // unreachable and age out through the per-shard cap.
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     util::MutexLock lock(shard.mu);
@@ -209,14 +213,6 @@ void ResultCache::Clear() {
     shard.lru.clear();
     shard.bytes = 0;
   }
-}
-
-uint64_t ResultCache::BumpEpoch() {
-  uint64_t next = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  // Old-epoch entries are unreachable already (epoch-prefixed keys); the
-  // clear releases their memory. Old-epoch sightings are likewise
-  // unreachable and age out through the per-shard cap.
-  Clear();
   return next;
 }
 

@@ -40,9 +40,9 @@
 //     keys are epoch-prefixed, so post-bump lookups can never see pre-bump
 //     values or join pre-bump in-flight computations; completed stale
 //     computations are discarded at insert time. After BumpEpoch returns,
-//     no value produced under an older epoch is ever served. Clear drops
-//     committed entries for memory relief (doorkeeper sightings survive —
-//     they are metadata, not results).
+//     no value produced under an older epoch is ever served. The bump also
+//     drops committed entries to release their memory (doorkeeper
+//     sightings survive — they are metadata, not results).
 #ifndef OSUM_SERVE_RESULT_CACHE_H_
 #define OSUM_SERVE_RESULT_CACHE_H_
 
@@ -136,11 +136,6 @@ class ResultCache {
   /// nullptr. Counts no miss and never joins in-flight computations — the
   /// cheap first pass of QueryService::Submit.
   ResultPtr Lookup(const std::string& key);
-
-  /// Drops every committed entry (memory relief, not invalidation:
-  /// computations already in flight may still publish afterwards, and
-  /// doorkeeper sightings survive).
-  void Clear();
 
   /// Invalidation barrier: advances the epoch and drops every committed
   /// entry. Once this returns, values produced under older epochs are

@@ -1,10 +1,11 @@
 // Wire codec guarantees: binary round trips are byte-identical
 // (property-tested over real query results from both join back ends, plus
-// empty and error responses), the v1 binary layout is pinned by a
-// checked-in golden blob, the JSON output documents are pinned by exact
-// golden strings, hostile bytes decode to typed kCodecError statuses (never
-// crashes), and the request/response API path produces responses
-// byte-identical to the raw SearchContext::Query output on DBLP and TPC-H.
+// empty and error responses), the response layout is pinned by a
+// checked-in golden blob and the request layout by exact bytes, the JSON
+// response documents are pinned by exact golden strings, hostile bytes
+// decode to typed kCodecError statuses (never crashes), and the
+// request/response API path produces responses byte-identical to the raw
+// SearchContext::Query output on DBLP and TPC-H.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -97,30 +98,57 @@ TEST(RequestCodec, RoundTripsEveryKnobCombination) {
   ExpectRequestRoundTrips(QueryRequest(""));
 }
 
-// -- Cross-version: the deadline revision (wire v2) ------------------------
+// -- The request layout ---------------------------------------------------
 
-/// v1 blobs stay byte-identical to the pre-deadline format; a deadline
-/// flips the encoder to v2, which is exactly the v1 layout plus one
-/// trailing u64. Pinning the layout here keeps "v1 consumers keep working"
-/// an observable property rather than a comment.
-TEST(RequestCodecV2, DeadlineSelectsTheWireVersion) {
-  std::string v1 = EncodeRequest(QueryRequest("faloutsos").WithL(6));
-  ASSERT_GE(v1.size(), 7u);
-  EXPECT_EQ(static_cast<uint8_t>(v1[4]), kWireVersion);
-  EXPECT_EQ(static_cast<uint8_t>(v1[5]), 0);  // u16 version, little-endian
+/// The one request layout, byte for byte: every request ends in its u64
+/// deadline, so a request without one carries eight zero bytes there.
+TEST(RequestCodec, LayoutIsPinnedWithAndWithoutDeadline) {
+  const std::string body =
+      "01"                  // kind: request
+      "09000000"            // keywords length
+      "66616c6f7574736f73"  // "faloutsos"
+      "0600000000000000"    // l
+      "0a00000000000000"    // max_results
+      "03"                  // algorithm: kTopPath
+      "01"                  // use_prelim
+      "00";                 // ranking: kSubjectImportance
+  const std::string header = "4f53554d"  // "OSUM"
+                             "0200";     // u16 version 2
+  EXPECT_EQ(ToHex(EncodeRequest(QueryRequest("faloutsos").WithL(6))),
+            header + body + "0000000000000000");
+  EXPECT_EQ(ToHex(EncodeRequest(
+                QueryRequest("faloutsos").WithL(6).WithDeadlineMicros(2'500))),
+            header + body + "c409000000000000");
 
-  std::string v2 = EncodeRequest(
-      QueryRequest("faloutsos").WithL(6).WithDeadlineMicros(2'500));
-  EXPECT_EQ(static_cast<uint8_t>(v2[4]), kWireVersionDeadline);
-  EXPECT_EQ(static_cast<uint8_t>(v2[5]), 0);
-  ASSERT_EQ(v2.size(), v1.size() + 8);
-  EXPECT_EQ(v2.substr(0, 4), v1.substr(0, 4));  // magic
-  // Everything after the version — kind byte through ranking byte — is
-  // unchanged; only the deadline is appended.
-  EXPECT_EQ(v2.substr(6, v1.size() - 6), v1.substr(6));
+  // Deadline 0 ("none"), the smallest budget and the full u64 range all
+  // round-trip byte-identically.
+  for (uint64_t deadline : {uint64_t{0}, uint64_t{1}, UINT64_MAX}) {
+    ExpectRequestRoundTrips(
+        QueryRequest("faloutsos").WithL(6).WithDeadlineMicros(deadline));
+  }
+
+  // Any other version is a typed error, not an abort; that includes 1, the
+  // layout without a deadline field.
+  std::string bytes = EncodeRequest(QueryRequest("faloutsos").WithL(6));
+  for (uint16_t version : {0, 1, 3, 999}) {
+    std::string other = bytes;
+    other[4] = static_cast<char>(version & 0xff);
+    other[5] = static_cast<char>(version >> 8);
+    EXPECT_EQ(DecodeRequest(other).status().code(), StatusCode::kCodecError)
+        << version;
+  }
+
+  // Every strict prefix is a typed error.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_EQ(DecodeRequest(std::string_view(bytes).substr(0, len))
+                  .status()
+                  .code(),
+              StatusCode::kCodecError)
+        << "prefix of length " << len;
+  }
 }
 
-/// Binary round-trips the deadline; JSON prints it in full.
+/// The deadline round-trips alongside every other knob.
 TEST(RequestCodecV2, DeadlineRequestsRoundTripInBothForms) {
   ExpectRequestRoundTrips(
       QueryRequest("christos faloutsos").WithL(9).WithDeadlineMicros(1));
@@ -131,60 +159,33 @@ TEST(RequestCodecV2, DeadlineRequestsRoundTripInBothForms) {
                               .WithPrelim(true)
                               .WithRanking(ResultRanking::kSummaryImportance)
                               .WithDeadlineMicros(2'500'000));
-  // The full u64 range.
-  QueryRequest max_deadline =
-      QueryRequest("x").WithDeadlineMicros(UINT64_MAX);
-  ExpectRequestRoundTrips(max_deadline);
-  EXPECT_NE(RequestToJson(max_deadline)
-                .find("\"deadline_micros\":18446744073709551615}"),
-            std::string::npos);
+  ExpectRequestRoundTrips(QueryRequest("x").WithDeadlineMicros(UINT64_MAX));
 }
 
-/// Each request value has exactly one wire version: the encoder picks v1
-/// iff there is no deadline, and the decoder refuses a version that cannot
-/// carry what the bytes hold — refusing beats silent truncation (a v1 peer
-/// that never sees the deadline would happily compute past it).
+/// Versions are per document kind: a blob in the layout requests had
+/// before they carried a deadline (version 1, no trailing u64) is refused,
+/// not read with a made-up deadline, and a response header is not
+/// accepted at the request version.
 TEST(RequestCodecV2, VersionPinnedEncoderRefusesWhatItCannotCarry) {
-  std::string v1 = EncodeRequest(QueryRequest("faloutsos").WithL(6));
-  std::string v2 = EncodeRequest(
-      QueryRequest("faloutsos").WithL(6).WithDeadlineMicros(2'500));
-  ASSERT_EQ(static_cast<uint8_t>(v1[4]), kWireVersion);
-  ASSERT_EQ(static_cast<uint8_t>(v2[4]), kWireVersionDeadline);
+  std::string bytes = EncodeRequest(QueryRequest("faloutsos").WithL(6));
+  std::string old_layout = bytes.substr(0, bytes.size() - 8);
+  old_layout[4] = 1;
+  StatusOr<QueryRequest> decoded = DecodeRequest(old_layout);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCodecError);
+  EXPECT_NE(decoded.status().message().find("unsupported wire version 1"),
+            std::string::npos)
+      << decoded.status().message();
 
-  // v1 cannot carry a deadline: a v1 header over a v2 body is rejected.
-  std::string v1_with_deadline = v2;
-  v1_with_deadline[4] = static_cast<char>(kWireVersion);
-  EXPECT_EQ(DecodeRequest(v1_with_deadline).status().code(),
+  std::string response = EncodeResponse(
+      QueryResponse::Success(std::make_shared<ResultList>(), QueryStats{}));
+  response[4] = static_cast<char>(kRequestWireVersion);
+  EXPECT_EQ(DecodeResponse(response).status().code(),
             StatusCode::kCodecError);
-  // v2 requires one: a v2 header over a v1 body is rejected.
-  std::string v2_without_deadline = v1;
-  v2_without_deadline[4] = static_cast<char>(kWireVersionDeadline);
-  EXPECT_EQ(DecodeRequest(v2_without_deadline).status().code(),
-            StatusCode::kCodecError);
-  // Unknown versions are typed errors, not aborts.
-  for (uint16_t version : {0, 3, 999}) {
-    std::string unknown = v1;
-    unknown[4] = static_cast<char>(version & 0xff);
-    unknown[5] = static_cast<char>(version >> 8);
-    EXPECT_EQ(DecodeRequest(unknown).status().code(), StatusCode::kCodecError)
-        << version;
-  }
 }
 
-TEST(RequestCodecV2, ZeroDeadlineOnTheV2WireIsRejected) {
-  std::string v2 =
-      EncodeRequest(QueryRequest("faloutsos").WithL(6).WithDeadlineMicros(1));
-  // Zero the trailing u64: a v2 blob claiming "no deadline". That value
-  // already has a v1 encoding, so accepting this would give it two wire
-  // forms and break the canonical-decode invariant the sweeps enforce.
-  for (size_t i = v2.size() - 8; i < v2.size(); ++i) v2[i] = '\0';
-  EXPECT_EQ(DecodeRequest(v2).status().code(), StatusCode::kCodecError);
-}
-
-/// Every strict prefix of a v2 blob is a typed error. The interesting
-/// length is size-8: a v2 header over an exactly-v1-shaped body, i.e. the
-/// truncation that silently drops the deadline — the decoder must notice
-/// the version promised eight more bytes.
+/// Every strict prefix of a deadline-carrying blob is a typed error. The
+/// interesting length is size-8: the body without its deadline, which the
+/// decoder must notice is eight bytes short.
 TEST(RequestCodecV2, EveryTruncationOfADeadlineBlobIsACodecError) {
   std::string bytes = EncodeRequest(
       QueryRequest("christos faloutsos").WithL(9).WithDeadlineMicros(77));
@@ -193,28 +194,6 @@ TEST(RequestCodecV2, EveryTruncationOfADeadlineBlobIsACodecError) {
     ASSERT_FALSE(decoded.ok()) << "prefix of length " << len << " decoded";
     EXPECT_EQ(decoded.status().code(), StatusCode::kCodecError) << len;
   }
-}
-
-// -- JSON output -------------------------------------------------------------
-
-/// The exact documents: fixed field order, escaped keywords, and the same
-/// v1/v2 rule as the binary form (deadline_micros only on v2).
-TEST(JsonOutput, RequestDocumentsArePinned) {
-  EXPECT_EQ(RequestToJson(QueryRequest("christos \"faloutsos\"")
-                              .WithL(12)
-                              .WithMaxResults(4)
-                              .WithAlgorithm(core::SizeLAlgorithm::kDpEnumerate)
-                              .WithRanking(ResultRanking::kSummaryImportance)),
-            R"({"v":1,"kind":"query_request","keywords":"christos )"
-            R"(\"faloutsos\"","l":12,"max_results":4,"algorithm":1,)"
-            R"("use_prelim":true,"ranking":1})");
-  EXPECT_EQ(RequestToJson(QueryRequest("mining graphs")
-                              .WithL(5)
-                              .WithPrelim(false)
-                              .WithDeadlineMicros(2'500)),
-            R"({"v":2,"kind":"query_request","keywords":"mining graphs",)"
-            R"("l":5,"max_results":10,"algorithm":3,"use_prelim":false,)"
-            R"("ranking":0,"deadline_micros":2500})");
 }
 
 TEST(ResponseCodec, RoundTripsRealResultsFromTheDataGraphBackend) {
@@ -318,7 +297,8 @@ TEST(ResponseCodec, GoldenBlobPinsTheV1Format) {
       << "/query_response_v1.hex";
   // Encoding today must reproduce the blob encoded when v1 was frozen...
   EXPECT_EQ(ToHex(EncodeResponse(golden)), expected_hex)
-      << "the v1 wire format changed; if intentional, bump kWireVersion";
+      << "the response wire format changed; if intentional, bump "
+         "kResponseWireVersion";
   // ...and decoding the checked-in bytes must reproduce the value.
   StatusOr<std::string> bytes = FromHex(expected_hex);
   ASSERT_TRUE(bytes.ok());
@@ -406,21 +386,22 @@ TEST(ResponseCodec, RejectsCorruptHeadersAndMalformedPayloads) {
   EXPECT_EQ(DecodeResponse(failure_with_results).status().code(),
             StatusCode::kCodecError);
 
-  // Unknown enum ids in requests.
+  // Unknown enum ids in requests (the three enum bytes sit right before
+  // the trailing u64 deadline).
   std::string request = EncodeRequest(QueryRequest("x"));
   std::string bad_algorithm = request;
-  bad_algorithm[request.size() - 3] = 42;
+  bad_algorithm[request.size() - 11] = 42;
   EXPECT_EQ(DecodeRequest(bad_algorithm).status().code(),
             StatusCode::kCodecError);
   std::string bad_ranking = request;
-  bad_ranking[request.size() - 1] = 2;
+  bad_ranking[request.size() - 9] = 2;
   EXPECT_EQ(DecodeRequest(bad_ranking).status().code(),
             StatusCode::kCodecError);
 }
 
 /// The systematic upgrade of the hand-picked corruption cases above: a
 /// seeded sweep of single-byte XOR flips, truncations, and combinations
-/// over valid binary-v1 blobs. The hard property — enforced byte-by-byte
+/// over valid binary blobs. The hard property — enforced byte-by-byte
 /// under the ASan lane — is that hostile bytes NEVER crash the decoder:
 /// every mutation either fails with a typed kCodecError, or (a flip that
 /// landed inside a value byte, e.g. a keyword character or a double) it
@@ -563,11 +544,11 @@ TEST(RequestCodec, AppendedBytesAreAlwaysFatal) {
       decode, /*seed=*/0x7A15);
 }
 
-/// The seeded sweep over deadline-carrying (v2) blobs. Flips over the
-/// trailing u64 either land on another valid deadline (which must
-/// re-encode byte-identically) or — when they zero it or clip the version
-/// byte — must come back as typed kCodecError; truncations that shave the
-/// deadline off a v2 header must never decode as a v1 request.
+/// The seeded sweep over deadline-carrying blobs. Flips over the trailing
+/// u64 land on another valid deadline (including 0, "none"), which must
+/// re-encode byte-identically; flips of the version bytes must come back
+/// as typed kCodecError, and truncations that shave the deadline off must
+/// never decode.
 TEST(RequestCodecV2, HostileMutationSweepOverDeadlineRequests) {
   SweepHostileMutations<QueryRequest>(
       EncodeRequest(QueryRequest("christos faloutsos")
@@ -577,7 +558,7 @@ TEST(RequestCodecV2, HostileMutationSweepOverDeadlineRequests) {
       [](const QueryRequest& r) { return EncodeRequest(r); },
       /*seed=*/0x5EED2, /*iterations=*/1500);
   // A single-byte deadline (1 µs) keeps seven of the trailing eight bytes
-  // zero, so flips there concentrate on the valid/invalid boundary.
+  // zero, so a flip of its one set bit lands on "no deadline".
   SweepHostileMutations<QueryRequest>(
       EncodeRequest(QueryRequest("databases").WithL(4).WithDeadlineMicros(1)),
       [](const std::string& b) { return DecodeRequest(b); },

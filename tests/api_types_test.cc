@@ -68,27 +68,29 @@ TEST(QueryRequest, BuilderSetsEveryKnob) {
 }
 
 TEST(QueryRequest, ValidationTurnsSilentFailuresIntoTypedErrors) {
-  EXPECT_TRUE(QueryRequest("faloutsos").Validate().ok());
+  auto code = [](const QueryRequest& r) {
+    return r.ValidatedKey().status().code();
+  };
+  EXPECT_EQ(code(QueryRequest("faloutsos")), StatusCode::kOk);
   // l = 0 means "complete OS" and is valid.
-  EXPECT_TRUE(QueryRequest("faloutsos").WithL(0).Validate().ok());
+  EXPECT_EQ(code(QueryRequest("faloutsos").WithL(0)), StatusCode::kOk);
 
   // The old API answered these with an empty result list, indistinguishable
   // from "no data subject matches".
-  EXPECT_EQ(QueryRequest("").Validate().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(QueryRequest("  --- !!").Validate().code(),
+  EXPECT_EQ(code(QueryRequest("")), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(QueryRequest("  --- !!")), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(QueryRequest("x").WithMaxResults(0)),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(QueryRequest("x").WithMaxResults(0).Validate().code(),
+  EXPECT_EQ(code(QueryRequest("x").WithL(kMaxSynopsisL + 1)),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(QueryRequest("x").WithL(kMaxSynopsisL + 1).Validate().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(QueryRequest("x").WithL(kMaxSynopsisL).Validate().ok());
+  EXPECT_EQ(code(QueryRequest("x").WithL(kMaxSynopsisL)), StatusCode::kOk);
 }
 
 TEST(QueryRequest, ValidatedKeyAgreesWithValidateAndCacheKey) {
   QueryRequest good = QueryRequest("Christos  Faloutsos").WithL(9);
   StatusOr<std::string> key = good.ValidatedKey();
   ASSERT_TRUE(key.ok());
-  EXPECT_EQ(*key, good.CacheKey());
+  EXPECT_EQ(*key, CanonicalQueryKey(good.keywords(), good.options()));
 
   StatusOr<std::string> bad = QueryRequest("??").ValidatedKey();
   EXPECT_FALSE(bad.ok());

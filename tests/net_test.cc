@@ -2,8 +2,9 @@
 // pathological read boundaries, in-band rejection of well-framed garbage,
 // connection drop on framing violations, response ordering under
 // pipelining, backpressure against a slow reader (the outbound queue must
-// stay bounded), and graceful drain — Shutdown must answer and flush every
-// request it already accepted before the loop stops.
+// stay bounded), graceful drain — Shutdown must answer and flush every
+// request it already accepted before the loop stops — and the frame
+// ledger when a connection dies with work still queued.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -12,12 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +25,7 @@
 #include "api/codec.h"
 #include "api/query.h"
 #include "api/status.h"
+#include "backend_doubles.h"
 #include "core/os_backend.h"
 #include "db_fixtures.h"
 #include "net/client.h"
@@ -40,6 +39,8 @@ namespace osum::net {
 namespace {
 
 using osum::api::DeterministicResponseText;
+using osum::testing::CountingBackend;
+using osum::testing::GatedBackend;
 using osum::testing::ScoredDblp;
 using osum::testing::SmallDblpConfig;
 
@@ -128,93 +129,6 @@ serve::ServiceOptions SmallService() {
   o.cache.num_shards = 2;
   return o;
 }
-
-/// Delegating back end whose join calls can be parked on a gate — the
-/// lever that keeps a request deterministically in flight while Shutdown
-/// runs (same idiom as serve_service_test).
-class GatedBackend : public core::OsBackend {
- public:
-  explicit GatedBackend(core::OsBackend* inner) : inner_(inner) {}
-
-  const char* name() const override { return "gated"; }
-
-  void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
-             rel::TupleId parent_tuple,
-             std::vector<rel::TupleId>* out) override {
-    Enter();
-    inner_->Fetch(link, dir, parent_tuple, out);
-  }
-  void FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
-                rel::TupleId parent_tuple, size_t limit,
-                double min_importance,
-                std::vector<rel::TupleId>* out) override {
-    Enter();
-    inner_->FetchTop(link, dir, parent_tuple, limit, min_importance, out);
-  }
-
-  void CloseGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    gate_closed_ = true;
-  }
-  void OpenGate() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      gate_closed_ = false;
-    }
-    cv_.notify_all();
-  }
-  void WaitUntilBlocked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return waiting_ > 0; });
-  }
-
- private:
-  void Enter() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!gate_closed_) return;
-    ++waiting_;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return !gate_closed_; });
-    --waiting_;
-  }
-
-  core::OsBackend* inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool gate_closed_ = false;
-  int waiting_ = 0;
-};
-
-/// Delegating back end that counts join calls — the witness that shed
-/// requests cost zero backend I/O.
-class CountingBackend : public core::OsBackend {
- public:
-  explicit CountingBackend(core::OsBackend* inner) : inner_(inner) {}
-
-  const char* name() const override { return "counting"; }
-
-  void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
-             rel::TupleId parent_tuple,
-             std::vector<rel::TupleId>* out) override {
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    inner_->Fetch(link, dir, parent_tuple, out);
-  }
-  void FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
-                rel::TupleId parent_tuple, size_t limit,
-                double min_importance,
-                std::vector<rel::TupleId>* out) override {
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    inner_->FetchTop(link, dir, parent_tuple, limit, min_importance, out);
-  }
-
-  uint64_t fetches() const {
-    return fetches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  core::OsBackend* inner_;
-  std::atomic<uint64_t> fetches_{0};
-};
 
 /// A bare kernel-level listener that never speaks the protocol — the prop
 /// for the client-hang regression tests. The kernel completes handshakes
@@ -400,9 +314,8 @@ TEST(NetServer, SlowReaderIsBackpressuredNotBufferedWithoutBound) {
   request.WithL(40).WithMaxResults(8);
   std::string fat_keywords;
   for (int i = 0; i < 200; ++i) fat_keywords += "faloutsos ";
-  api::QueryRequest fat_request = request;
-  fat_request.WithKeywords(fat_keywords);
-  ASSERT_EQ(fat_request.CacheKey(), request.CacheKey());
+  api::QueryRequest fat_request(fat_keywords, request.options());
+  ASSERT_EQ(*fat_request.ValidatedKey(), *request.ValidatedKey());
 
   const size_t response_bytes =
       api::EncodeResponse(fx.service.Execute(request)).size();
@@ -596,7 +509,7 @@ TEST(NetFairness, FirehoseCannotStarveTheInteractiveConnection) {
 // resumes, the expired requests are answered kDeadlineExceeded WITHOUT
 // backend compute (pinned by backend I/O counters against a twin context)
 // and the well-behaved request is answered normally. Every counter
-// reconciles. Deadlines ride the v2 wire revision end to end.
+// reconciles. Deadlines ride the request wire layout end to end.
 TEST(NetOverload, TightDeadlinesShedWithoutComputeGenerousOnesSucceed) {
   ScoredDblp dblp(SmallDblpConfig());
   CountingBackend counting(&dblp.backend);
@@ -775,6 +688,120 @@ TEST(NetServer, CloseWriteRacingInFlightMissesLosesNothing) {
   EXPECT_EQ(stats.responses_out, kBurst);
   EXPECT_EQ(stats.dropped_responses, 0u);
   EXPECT_EQ(stats.connections_closed, 1u);
+}
+
+// ---- frame ledger --------------------------------------------------------
+
+/// Opens a plain blocking loopback connection to `port` and writes `bytes`
+/// in one call, so pipelined frames arrive (and are read) together.
+/// Returns the fd, or -1.
+int ConnectAndSend(uint16_t port, const std::string& bytes) {
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(bytes.size())) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Closes with SO_LINGER 0: the server sees a reset, not an orderly EOF,
+/// and closes the connection with its queued work still in it.
+void ResetConnection(int fd) {
+  linger hard{};
+  hard.l_onoff = 1;
+  hard.l_linger = 0;
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+  ::close(fd);
+}
+
+/// Polls the server's counters until `done` holds (bounded at ~10 s).
+template <typename Pred>
+bool WaitForStats(const Server& server, Pred done) {
+  for (int i = 0; i < 2000; ++i) {
+    if (done(server.stats())) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done(server.stats());
+}
+
+std::string RequestFrame(const std::string& keywords) {
+  return EncodeFrame(api::EncodeRequest(SmallRequest(keywords)));
+}
+
+// A connection reset with one answered and one unanswered request: the
+// hit behind a parked miss is answered (responses_out) but cannot be
+// written before the miss, so the close finds one ready slot and one
+// waiting for the service. Each frame lands in exactly one of
+// responses_out and dropped_responses; counting every slot as dropped
+// breaks frames_in == responses_out + dropped_responses.
+TEST(NetLedger, ResetCountsEachFrameOnceAnsweredOrDropped) {
+  ScoredDblp dblp(SmallDblpConfig());
+  GatedBackend gated(&dblp.backend);
+  search::SearchContext context = BuildDblpContext(dblp.d, &gated);
+  serve::QueryService service(context, SmallService());
+  Server server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  // Warmed in-process, so the server's counters start at zero.
+  ASSERT_TRUE(service.Execute(SmallRequest("mining")).ok());
+
+  gated.CloseGate();
+  int fd = ConnectAndSend(server.port(),
+                          RequestFrame("faloutsos") + RequestFrame("mining"));
+  ASSERT_GE(fd, 0);
+  gated.WaitUntilBlocked();
+  ASSERT_TRUE(WaitForStats(server, [](const ServerStats& s) {
+    return s.frames_in == 2 && s.responses_out == 1;
+  }));
+  ResetConnection(fd);
+  ASSERT_TRUE(WaitForStats(server, [](const ServerStats& s) {
+    return s.connections_closed == 1;
+  }));
+  gated.OpenGate();  // the miss completes for a connection that is gone
+  EXPECT_TRUE(server.Shutdown());
+
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.frames_in, 2u);
+  EXPECT_EQ(stats.responses_out, 1u);
+  EXPECT_EQ(stats.dropped_responses, 1u);
+}
+
+// The same reset with a window of one: the second frame never leaves the
+// reassembler before the connection dies. The close takes it off, so it
+// counts in frames_in as well as in dropped_responses.
+TEST(NetLedger, FramesStillInTheReassemblerCountWhenTheConnectionDies) {
+  ScoredDblp dblp(SmallDblpConfig());
+  GatedBackend gated(&dblp.backend);
+  search::SearchContext context = BuildDblpContext(dblp.d, &gated);
+  serve::QueryService service(context, SmallService());
+  ServerOptions options;
+  options.max_inflight_requests = 1;
+  Server server(&service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  gated.CloseGate();
+  int fd = ConnectAndSend(server.port(),
+                          RequestFrame("faloutsos") + RequestFrame("mining"));
+  ASSERT_GE(fd, 0);
+  gated.WaitUntilBlocked();
+  ASSERT_EQ(server.stats().frames_in, 1u);
+  ResetConnection(fd);
+  ASSERT_TRUE(WaitForStats(server, [](const ServerStats& s) {
+    return s.connections_closed == 1;
+  }));
+  gated.OpenGate();
+  EXPECT_TRUE(server.Shutdown());
+
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.frames_in, 2u);
+  EXPECT_EQ(stats.responses_out, 0u);
+  EXPECT_EQ(stats.dropped_responses, 2u);
 }
 
 // ---- client timeout regressions ------------------------------------------

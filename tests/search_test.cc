@@ -53,7 +53,7 @@ TEST(InvertedIndex, SingleKeywordFindsAllFaloutsos) {
   InvertedIndex index = InvertedIndex::Build(f.d.db, {f.d.author});
   auto hits = index.SearchQuery("Faloutsos");
   EXPECT_EQ(hits.size(), 3u);  // the three brothers
-  for (const Hit& h : hits) EXPECT_EQ(h.relation, f.d.author);
+  for (const api::Hit& h : hits) EXPECT_EQ(h.relation, f.d.author);
 }
 
 TEST(InvertedIndex, AndSemanticsNarrow) {
@@ -181,9 +181,8 @@ TEST(SearchContext, BuildRejectsAGdsRootedElsewhere) {
 }
 
 TEST(SearchContext, BuildRejectsADuplicateRelation) {
-  // Accepting it would silently drop the second G_DS and list the relation
-  // twice in the registration order, so TakeSubjects would move one Gds
-  // out twice.
+  // Accepting it would silently drop the second G_DS and answer that
+  // relation's queries with a G_DS the caller did not mean.
   Dblp d = SearchFixture::MakeDblp();
   core::DataGraphBackend backend(d.db, d.links, d.data_graph);
   std::vector<SearchContext::Subject> subjects =
@@ -191,38 +190,6 @@ TEST(SearchContext, BuildRejectsADuplicateRelation) {
   subjects.push_back({d.author, DblpAuthorGds(d)});
   EXPECT_THROW(SearchContext::Build(d.db, &backend, std::move(subjects)),
                std::invalid_argument);
-}
-
-TEST(SearchContext, TakeSubjectsFeedsAFreshBuild) {
-  // The documented rebuild flow (see search_context.h): take the subjects
-  // out of a context you are about to discard, extend the set, and Build a
-  // fresh richer context from them.
-  Dblp d = SearchFixture::MakeDblp();
-  core::DataGraphBackend backend(d.db, d.links, d.data_graph);
-  std::vector<SearchContext::Subject> subjects;
-  subjects.push_back({d.author, DblpAuthorGds(d)});
-  SearchContext old_ctx =
-      SearchContext::Build(d.db, &backend, std::move(subjects));
-  ASSERT_FALSE(old_ctx.Query("faloutsos").empty());
-
-  std::vector<SearchContext::Subject> taken =
-      std::move(old_ctx).TakeSubjects();
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].relation, d.author);
-  // The drained context is left empty, as documented.
-  EXPECT_THROW(old_ctx.GdsFor(d.author), std::out_of_range);
-
-  taken.push_back({d.paper, DblpPaperGds(d)});
-  SearchContext fresh =
-      SearchContext::Build(d.db, &backend, std::move(taken));
-  // The moved-out GDS still answers in the rebuilt context, and the
-  // extension genuinely widened coverage to paper subjects.
-  EXPECT_FALSE(fresh.Query("faloutsos").empty());
-  bool has_paper = false;
-  for (const api::QueryResult& r : fresh.Query("power law")) {
-    has_paper |= r.subject.relation == d.paper;
-  }
-  EXPECT_TRUE(has_paper);
 }
 
 TEST(CanonicalQueryKey, NormalizesKeywordSetAndSeparatesOptions) {

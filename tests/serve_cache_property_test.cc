@@ -4,7 +4,7 @@
 // cache's documented semantics — LRU recency and eviction, entry/byte
 // budgets, epoch-prefixed keys and the doorkeeper admission filter — in
 // under 100 lines of obviously-correct code. Seeded random op sequences
-// (get / insert / clock-advance / clear / bump-epoch) then run against
+// (get / insert / clock-advance / bump-epoch) then run against
 // BOTH implementations and every observable must match exactly after
 // every step: hit/miss outcomes, returned values, admission decisions,
 // eviction counts, and occupancy. LRU order is verified observationally: under
@@ -88,14 +88,10 @@ class ModelCache {
     return ModelOutcome{false, approx, negative};
   }
 
-  void Clear() {
-    lru_.clear();
-    bytes_ = 0;
-  }
-
   void BumpEpoch() {
     ++epoch;
-    Clear();
+    lru_.clear();
+    bytes_ = 0;
   }
 
   // Observables compared against CacheMetrics after every op.
@@ -270,9 +266,6 @@ void RunSequence(const HarnessConfig& config, uint64_t seed, int ops) {
     } else if (dice < 91) {
       clock->AdvanceMicros(deltas[rng.NextU64(std::size(deltas))]);
       model.set_now(clock->NowMicros());
-    } else if (dice < 96) {
-      cache.Clear();
-      model.Clear();
     } else {
       cache.BumpEpoch();
       model.BumpEpoch();

@@ -10,7 +10,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "core/os_backend.h"
 #include "db_fixtures.h"
 #include "api/codec.h"
+#include "backend_doubles.h"
 #include "serve/clock.h"
 #include "serve/query_service.h"
 
@@ -27,6 +27,8 @@ namespace osum::serve {
 namespace {
 
 using osum::api::DeterministicResultText;
+using osum::testing::CountingBackend;
+using osum::testing::GatedBackend;
 using osum::testing::ScoredDblp;
 using osum::testing::ScoredTpch;
 using osum::testing::SmallDblpConfig;
@@ -106,97 +108,6 @@ std::vector<api::QueryResponse> SubmitAndWait(
   collector.Wait();
   return collector.TakeResponses();
 }
-
-/// Delegating back end that can hold every join call on a gate (to keep a
-/// query deterministically in flight) or fail it (to make Query throw) —
-/// the levers the rebind-drain and batch-exception tests need.
-class GatedBackend : public core::OsBackend {
- public:
-  explicit GatedBackend(core::OsBackend* inner) : inner_(inner) {}
-
-  const char* name() const override { return "gated"; }
-
-  void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
-             rel::TupleId parent_tuple,
-             std::vector<rel::TupleId>* out) override {
-    Enter();
-    inner_->Fetch(link, dir, parent_tuple, out);
-  }
-  void FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
-                rel::TupleId parent_tuple, size_t limit,
-                double min_importance,
-                std::vector<rel::TupleId>* out) override {
-    Enter();
-    inner_->FetchTop(link, dir, parent_tuple, limit, min_importance, out);
-  }
-
-  void FailJoins(bool fail) { fail_.store(fail); }
-  void CloseGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    gate_closed_ = true;
-  }
-  void OpenGate() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      gate_closed_ = false;
-    }
-    cv_.notify_all();
-  }
-  /// Blocks until some join call is parked on the closed gate.
-  void WaitUntilBlocked() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return waiting_ > 0; });
-  }
-
- private:
-  void Enter() {
-    if (fail_.load()) throw std::runtime_error("injected join failure");
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!gate_closed_) return;
-    ++waiting_;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return !gate_closed_; });
-    --waiting_;
-  }
-
-  core::OsBackend* inner_;
-  std::atomic<bool> fail_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool gate_closed_ = false;
-  int waiting_ = 0;
-};
-
-/// Delegating back end that counts join calls — the witness the shedding
-/// tests use to prove "answered kDeadlineExceeded WITHOUT backend work".
-class CountingBackend : public core::OsBackend {
- public:
-  explicit CountingBackend(core::OsBackend* inner) : inner_(inner) {}
-
-  const char* name() const override { return "counting"; }
-
-  void Fetch(graph::LinkTypeId link, rel::FkDirection dir,
-             rel::TupleId parent_tuple,
-             std::vector<rel::TupleId>* out) override {
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    inner_->Fetch(link, dir, parent_tuple, out);
-  }
-  void FetchTop(graph::LinkTypeId link, rel::FkDirection dir,
-                rel::TupleId parent_tuple, size_t limit,
-                double min_importance,
-                std::vector<rel::TupleId>* out) override {
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    inner_->FetchTop(link, dir, parent_tuple, limit, min_importance, out);
-  }
-
-  uint64_t fetches() const {
-    return fetches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  core::OsBackend* inner_;
-  std::atomic<uint64_t> fetches_{0};
-};
 
 /// The headline invariant on one backend: miss computes, hit returns the
 /// same immutable object, both byte-identical to an uncached Query.
